@@ -57,10 +57,23 @@ for f in examples/programs/*.spre; do
 done
 
 # Serve smoke (docs/SERVING.md): start the daemon (Release and ASan),
-# submit each example through the client mode, require bit-identical
-# stdout to the direct batch run, then SIGTERM and require a clean,
-# drained exit (status 0).
+# submit each example through the client mode, require the stdout,
+# stderr and exit code of the direct batch run — for clean compiles and
+# for three error paths — then SIGTERM and require a clean, drained exit
+# (status 0).
 echo "==== serve smoke ===="
+same_as_local() {
+  LOCAL_RC=0
+  "./$BUILD/tools/specpre-opt" "$@" > "$SERVE_DIR/local.out" \
+    2> "$SERVE_DIR/local.err" || LOCAL_RC=$?
+  REMOTE_RC=0
+  "./$BUILD/tools/specpre-opt" --connect="$SOCK" "$@" \
+    > "$SERVE_DIR/remote.out" 2> "$SERVE_DIR/remote.err" || REMOTE_RC=$?
+  cmp "$SERVE_DIR/local.out" "$SERVE_DIR/remote.out"
+  cmp "$SERVE_DIR/local.err" "$SERVE_DIR/remote.err"
+  [ "$LOCAL_RC" = "$REMOTE_RC" ] || {
+    echo "exit code $LOCAL_RC locally, $REMOTE_RC with --connect: $*"; exit 1; }
+}
 for BUILD in build-release build-asan; do
   SERVE_DIR="$(mktemp -d)"
   SOCK="$SERVE_DIR/serve.sock"
@@ -73,19 +86,20 @@ for BUILD in build-release build-asan; do
   done
   [ -S "$SOCK" ] || { echo "daemon never bound $SOCK"; exit 1; }
   for f in examples/programs/loop.spre examples/programs/diamond.spre; do
-    "./$BUILD/tools/specpre-opt" --strategy=mcssapre --train=3,4,64 \
-      "$f" > "$SERVE_DIR/local.out"
-    "./$BUILD/tools/specpre-opt" --strategy=mcssapre --train=3,4,64 \
-      --connect="$SOCK" "$f" > "$SERVE_DIR/remote.out"
-    cmp "$SERVE_DIR/local.out" "$SERVE_DIR/remote.out"
+    same_as_local --strategy=mcssapre --train=3,4,64 "$f"
     # Warm replay through the shared cache must stay bit-identical.
-    "./$BUILD/tools/specpre-opt" --strategy=mcssapre --train=3,4,64 \
-      --connect="$SOCK" "$f" > "$SERVE_DIR/remote2.out"
-    cmp "$SERVE_DIR/local.out" "$SERVE_DIR/remote2.out"
+    same_as_local --strategy=mcssapre --train=3,4,64 "$f"
   done
+  # Error paths: no training arguments or profile, a malformed profile,
+  # malformed IR.
+  same_as_local --strategy=mcssapre examples/programs/loop.spre
+  same_as_local --strategy=mcssapre --no-emit \
+    --profile-in=tests/corpus/malformed/huge-block-id.prof \
+    examples/programs/loop.spre
+  same_as_local --strategy=none tests/corpus/malformed/truncated.ir
   kill -TERM "$SERVE_PID"
   wait "$SERVE_PID" || { echo "daemon exited nonzero on SIGTERM"; exit 1; }
-  grep -q '"requests_received": 4' "$SERVE_DIR/metrics.json" || {
+  grep -q '"requests_received": 7' "$SERVE_DIR/metrics.json" || {
     echo "daemon metrics missing served requests"; exit 1; }
   rm -rf "$SERVE_DIR"
 done

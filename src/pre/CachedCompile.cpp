@@ -26,6 +26,7 @@
 #include "ir/StructuralHash.h"
 #include "support/FaultInjector.h"
 #include "support/LineCodec.h"
+#include "support/PassTimer.h"
 
 #include <cstdio>
 
@@ -121,9 +122,7 @@ CacheKey specpre::compileCacheKey(const Function &Prepared,
   // below a profile-consuming rung only runs profile-free strategies, so
   // a degraded result never depends on more profile than its key —
   // degraded results are not cached anyway.
-  const bool NeedsNodes = Opts.Strategy == PreStrategy::McSsaPre ||
-                          Opts.Strategy == PreStrategy::McPre ||
-                          Opts.Strategy == PreStrategy::Lospre;
+  const bool NeedsNodes = strategyNeedsProfile(Opts.Strategy);
   const bool NeedsEdges = Opts.Strategy == PreStrategy::McPre;
   H.addBool(NeedsNodes && Opts.Prof);
   if (NeedsNodes && Opts.Prof) {
@@ -250,10 +249,7 @@ bool specpre::decodeCachePayload(const std::string &Payload,
 Function specpre::compileThroughCache(const Function &Prepared,
                                       const PreOptions &Opts,
                                       CompileOutcomeRecord *OutcomeOut,
-                                      const UncachedCompileFn &Compile,
-                                      bool *ReplayedHitOut) {
-  if (ReplayedHitOut)
-    *ReplayedHitOut = false;
+                                      const UncachedCompileFn &Compile) {
   CompileCache *Cache = Opts.Cache;
   // Pipeline fault injection makes outcomes a function of a
   // process-global fault counter, not of the compile's inputs: bypass
@@ -308,8 +304,10 @@ Function specpre::compileThroughCache(const Function &Prepared,
       }
       if (OutcomeOut)
         *OutcomeOut = Outcome;
-      if (ReplayedHitOut)
-        *ReplayedHitOut = true;
+      // A replayed hit is a compiled function the ladder never saw; only
+      // clean compiles are stored, so no other robustness counter moves.
+      if (PipelineMetrics *M = currentMetricsSink())
+        ++M->robustness().FunctionsCompiled;
       return Decoded;
     }
     // Torn or stale-format entry: fall through as a miss; the store

@@ -71,7 +71,7 @@ bool decodeCachePayload(const std::string &Payload, Function &OptimizedOut,
 using UncachedCompileFn = std::function<Function(
     const Function &, const PreOptions &, CompileOutcomeRecord *)>;
 
-/// Cache protocol shared by the serial and parallel drivers:
+/// The cache protocol compileWithFallback wraps its ladder walk in:
 ///
 ///  * ineligible (no cache, mode Off, fault injection active) — calls
 ///    \p Compile directly, unchanged semantics;
@@ -79,7 +79,9 @@ using UncachedCompileFn = std::function<Function(
 ///    forwards the shard to Opts.Stats, and stores the result unless the
 ///    compile degraded;
 ///  * hit (mode On) — replays the decoded function, records and outcome
-///    without running any pass code; *ReplayedHitOut is set to true;
+///    without running any pass code, and counts the function in the
+///    functions_compiled robustness counter of the calling thread's
+///    metrics sink, as the cold compile did;
 ///  * hit (mode Verify) — recompiles anyway, counts a verify mismatch if
 ///    the cached entry is not bit-identical (printed IR, every stats
 ///    record, the outcome), and returns the fresh result.
@@ -88,8 +90,7 @@ using UncachedCompileFn = std::function<Function(
 /// driver cannot re-enter the protocol.
 Function compileThroughCache(const Function &Prepared, const PreOptions &Opts,
                              CompileOutcomeRecord *OutcomeOut,
-                             const UncachedCompileFn &Compile,
-                             bool *ReplayedHitOut = nullptr);
+                             const UncachedCompileFn &Compile);
 
 } // namespace specpre
 

@@ -58,7 +58,9 @@ const char *strategyFlagName(PreStrategy S) {
   return "mcssapre";
 }
 
-bool parseStrategyFlag(const std::string &Name, PreStrategy &Out) {
+} // namespace
+
+bool specpre::parseStrategyFlag(const std::string &Name, PreStrategy &Out) {
   if (Name == "none")
     Out = PreStrategy::None;
   else if (Name == "ssapre")
@@ -77,8 +79,6 @@ bool parseStrategyFlag(const std::string &Name, PreStrategy &Out) {
     return false;
   return true;
 }
-
-} // namespace
 
 std::string specpre::encodeServeRequest(const ServeRequest &R) {
   std::string Out = RequestHeader;
@@ -264,10 +264,7 @@ bool specpre::decodeServeResponse(const std::string &Payload,
 // Request execution
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-void appendRunReport(std::string &Out, const char *Label,
-                     const ExecResult &R) {
+void ServeResponse::appendRunReport(const char *Label, const ExecResult &R) {
   char Buf[192];
   std::snprintf(Buf, sizeof(Buf),
                 "%s: ret=%lld computations=%llu cycles=%llu%s%s\n", Label,
@@ -276,19 +273,20 @@ void appendRunReport(std::string &Out, const char *Label,
                 static_cast<unsigned long long>(R.Cycles),
                 R.Trapped ? " [TRAPPED]" : "",
                 R.TimedOut ? " [TIMED OUT]" : "");
-  Out += Buf;
+  StdoutText += Buf;
 }
 
-/// One function of the request, mirroring specpre-opt's processFunction
-/// byte-for-byte on stdout (the bit-identity contract of the daemon).
+namespace {
+
+/// One function of the request: the per-function body of every compile,
+/// local or served.
 int processServeFunction(Function &F, const ServeRequest &R,
                          ParallelPreDriver &Driver, CompileCache *Cache,
-                         PipelineMetrics *Metrics, ServeResponse &Resp) {
+                         PipelineMetrics *Metrics,
+                         const ServeFunctionHook &Hook, ServeResponse &Resp) {
   prepareFunction(F);
 
-  bool NeedsProfile = R.Strategy == PreStrategy::McSsaPre ||
-                      R.Strategy == PreStrategy::McPre ||
-                      R.Strategy == PreStrategy::Lospre;
+  bool NeedsProfile = strategyNeedsProfile(R.Strategy);
   Profile Prof;
   if (NeedsProfile && !R.ProfileText.empty()) {
     std::string Error;
@@ -316,7 +314,7 @@ int processServeFunction(Function &F, const ServeRequest &R,
     ExecOptions EO;
     EO.CollectProfile = &Prof;
     ExecResult Train = interpret(F, *R.TrainArgs, EO);
-    appendRunReport(Resp.StdoutText, "train", Train);
+    Resp.appendRunReport("train", Train);
     if (Train.Trapped || Train.TimedOut) {
       Resp.StderrText += "error: training run failed\n";
       return 1;
@@ -362,7 +360,7 @@ int processServeFunction(Function &F, const ServeRequest &R,
 
   if (R.Emit)
     Resp.StdoutText += printFunction(Optimized);
-  return 0;
+  return Hook ? Hook(F, Prof, Optimized, Stats, Resp) : 0;
 }
 
 } // namespace
@@ -370,7 +368,8 @@ int processServeFunction(Function &F, const ServeRequest &R,
 ServeResponse specpre::processServeRequest(const ServeRequest &R,
                                            ParallelPreDriver &Driver,
                                            CompileCache *Cache,
-                                           PipelineMetrics *Metrics) {
+                                           PipelineMetrics *Metrics,
+                                           const ServeFunctionHook &Hook) {
   ServeResponse Resp;
   Resp.Ok = true;
 
@@ -387,7 +386,8 @@ ServeResponse specpre::processServeRequest(const ServeRequest &R,
     if (!R.OnlyFunction.empty() && F.Name != R.OnlyFunction)
       continue;
     FoundAny = true;
-    if (int Rc = processServeFunction(F, R, Driver, Cache, Metrics, Resp)) {
+    if (int Rc =
+            processServeFunction(F, R, Driver, Cache, Metrics, Hook, Resp)) {
       Resp.ExitCode = Rc;
       return Resp;
     }
@@ -403,6 +403,25 @@ ServeResponse specpre::processServeRequest(const ServeRequest &R,
 // CompileService: the request queue
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The cache a service with \p Cfg opens: the daemon's own (memory and
+/// disk tier) and each sandbox worker's (the shared disk tier).
+std::unique_ptr<CompileCache>
+openServiceCache(const CompileService::Config &Cfg) {
+  CompileCache::Config CC;
+  CC.DiskDir = Cfg.CacheDir;
+  CC.MaxEntries = Cfg.CacheMaxEntries;
+  CC.MaxDiskBytes = Cfg.CacheMaxDiskBytes;
+  CC.Durable = Cfg.CacheDurable;
+  CC.BreakerThreshold = Cfg.CacheBreakerThreshold;
+  CC.BreakerCooldownMs = Cfg.CacheBreakerCooldownMs;
+  CC.Mode = Cfg.Mode;
+  return std::make_unique<CompileCache>(CC);
+}
+
+} // namespace
+
 CompileService::CompileService(const Config &C)
     : Cfg(C), Driver([&] {
         ParallelConfig PC;
@@ -411,17 +430,8 @@ CompileService::CompileService(const Config &C)
       }()) {
   if (Cfg.RequestWorkers == 0)
     Cfg.RequestWorkers = 1;
-  if (Cfg.Mode != CacheMode::Off) {
-    CompileCache::Config CC;
-    CC.DiskDir = Cfg.CacheDir;
-    CC.MaxEntries = Cfg.CacheMaxEntries;
-    CC.MaxDiskBytes = Cfg.CacheMaxDiskBytes;
-    CC.Durable = Cfg.CacheDurable;
-    CC.BreakerThreshold = Cfg.CacheBreakerThreshold;
-    CC.BreakerCooldownMs = Cfg.CacheBreakerCooldownMs;
-    CC.Mode = Cfg.Mode;
-    Cache = std::make_unique<CompileCache>(CC);
-  }
+  if (Cfg.Mode != CacheMode::Off)
+    Cache = openServiceCache(Cfg);
   Workers.reserve(Cfg.RequestWorkers);
   for (unsigned I = 0; I != Cfg.RequestWorkers; ++I)
     Workers.emplace_back([this] { workerLoop(); });
@@ -561,17 +571,8 @@ uint64_t requestQuarantineKey(const std::string &Encoded) {
     PC.Jobs = 1; // post-fork: strictly single-threaded
     ParallelPreDriver Driver(PC);
     std::unique_ptr<CompileCache> Cache;
-    if (Cfg.Mode != CacheMode::Off && !Cfg.CacheDir.empty()) {
-      CompileCache::Config CC;
-      CC.DiskDir = Cfg.CacheDir;
-      CC.MaxEntries = Cfg.CacheMaxEntries;
-      CC.MaxDiskBytes = Cfg.CacheMaxDiskBytes;
-      CC.Durable = Cfg.CacheDurable;
-      CC.BreakerThreshold = Cfg.CacheBreakerThreshold;
-      CC.BreakerCooldownMs = Cfg.CacheBreakerCooldownMs;
-      CC.Mode = Cfg.Mode;
-      Cache = std::make_unique<CompileCache>(CC);
-    }
+    if (Cfg.Mode != CacheMode::Off && !Cfg.CacheDir.empty())
+      Cache = openServiceCache(Cfg);
     Resp = processServeRequest(Req, Driver, Cache.get(), nullptr);
   }
   (void)writeFrame(Conn, 'R', encodeServeResponse(Resp), 60000);

@@ -18,9 +18,10 @@
 ///    frames, encoded with the same checked line codec the cache
 ///    payloads use (support/LineCodec.h). A request is a whole module
 ///    plus the exact options surface of specpre-opt's batch mode; the
-///    response carries the tool's stdout/stderr byte-for-byte, which is
-///    what makes the daemon bit-identical to a local run: the client
-///    just replays the streams.
+///    response carries the tool's stdout/stderr byte-for-byte. A local
+///    specpre-opt run builds the same request and runs it through
+///    processServeRequest too, which is what makes the daemon
+///    bit-identical to a local run: the client just replays the streams.
 ///
 ///  * CompileService — the request queue. submit() enqueues and returns
 ///    a future; a small pool of request workers dequeues and runs each
@@ -49,6 +50,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -59,6 +61,8 @@
 #include <vector>
 
 namespace specpre {
+
+struct ExecResult;
 
 /// One compile request: a module plus the batch-tool options that affect
 /// its output. Mirrors specpre-opt's surface minus the purely local
@@ -102,7 +106,15 @@ struct ServeResponse {
   /// The request killed enough sandbox workers to be quarantined; the
   /// server answers it with an 'E' frame, never retries it.
   bool Quarantined = false;
+
+  /// Appends an interpreter run's report line ("train: ret=... cycles=...")
+  /// to StdoutText.
+  void appendRunReport(const char *Label, const ExecResult &R);
 };
+
+/// Parses a --strategy= value ("mcssapre", "lospre", ...), the spelling
+/// the request's strategy directive uses too.
+bool parseStrategyFlag(const std::string &Name, PreStrategy &Out);
 
 /// Request payload codec for the 'C' frame. decode rejects unknown
 /// directives, bad integers and missing sections with a diagnostic.
@@ -115,13 +127,27 @@ std::string encodeServeResponse(const ServeResponse &R);
 bool decodeServeResponse(const std::string &Payload, ServeResponse &Out,
                          std::string &Error);
 
-/// Runs \p R exactly as specpre-opt's batch loop would, against the
-/// given driver/cache. The synchronous core of CompileService, exposed
-/// so tests and the bench can assert bit-identity without a socket.
+/// A caller's extension of processServeRequest, run for each function
+/// after its output was appended to \p Resp. It sees the prepared input,
+/// the profile the function was compiled under (empty for the
+/// profile-free strategies), the emitted function and its statistics. A
+/// nonzero return ends the request with that exit code. specpre-opt's
+/// local side channels (--dot-cfg, --dot-frg, --stats, --run,
+/// --profile-out) are such a hook.
+using ServeFunctionHook = std::function<int(
+    const Function &Prepared, const Profile &Prof, const Function &Optimized,
+    const PreStats &Stats, ServeResponse &Resp)>;
+
+/// Runs \p R against the given driver/cache: parse, then per function
+/// prepare, train (or load the profile), compile through the ladder,
+/// report the outcome, run the GVN/cleanup/out-of-SSA post-passes and
+/// emit. This is both the daemon's request body and a local specpre-opt
+/// run, which adds its side channels through \p Hook.
 ServeResponse processServeRequest(const ServeRequest &R,
                                   ParallelPreDriver &Driver,
                                   CompileCache *Cache,
-                                  PipelineMetrics *Metrics);
+                                  PipelineMetrics *Metrics,
+                                  const ServeFunctionHook &Hook = {});
 
 /// How a request worker runs the compile itself.
 enum class IsolationMode {

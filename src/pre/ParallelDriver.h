@@ -5,32 +5,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel compilation pipeline. Two levels of fan-out over a
-/// work-stealing pool (support/ThreadPool.h):
+/// The parallel compilation pipeline: a ParallelPreDriver owns a
+/// work-stealing pool (support/ThreadPool.h) and hands it to the one
+/// pipeline in pre/PreDriver.h. Two levels of fan-out:
 ///
 ///  * corpus level — independent functions compile concurrently, each
 ///    accumulating into a private PreStats shard; shards are stamped
 ///    with the function index and merged in (function, expression)
 ///    order, so the merged records equal the serial sequence exactly;
 ///
-///  * expression level — within one function, the per-expression
-///    placement analyses (FRG build, data flow, reduction, min cut /
-///    DownSafety) run concurrently against the *pre-motion* function,
-///    and the transformations are then committed serially in candidate
-///    order. This is sound because distinct candidate expressions have
-///    independent FRGs: code motion for one key only introduces fresh
-///    temporaries, copies and phis of those temporaries, and never adds,
-///    removes or re-kills occurrences of another key (see
-///    docs/PARALLELISM.md for the argument). The commit phase re-derives
-///    each FRG against the current function (statement indices shift as
-///    earlier commits insert saves and reloads), checks it is
-///    structurally unchanged, and transfers the precomputed
-///    WillBeAvail/Insert decisions onto it; if the structure ever
-///    differed, it falls back to recomputing the placement serially —
-///    the exact serial pipeline — so the output is bit-identical to
-///    runPre in all cases.
+///  * expression level — the per-expression loop of the SSA strategies
+///    takes the pool: capturePlacements computes every candidate's
+///    placement (FRG build, data flow, reduction, min cut / DownSafety)
+///    concurrently against the *pre-motion* function, and the loop then
+///    commits serially in candidate order, rebuilding each FRG against
+///    the current function (statement indices shift as earlier commits
+///    insert saves and reloads) and transferring the captured
+///    WillBeAvail/Insert decisions onto it. This is sound because
+///    distinct candidate expressions have independent FRGs: code motion
+///    for one key only introduces fresh temporaries, copies and phis of
+///    those temporaries, and never adds, removes or re-kills occurrences
+///    of another key (docs/PARALLELISM.md). Should a rebuilt FRG ever
+///    differ structurally, the loop places it again itself, so the output
+///    is bit-identical to the pool-less pipeline in all cases.
 ///
-/// The determinism guarantee — `--jobs=N` produces bit-identical IR and
+/// Every rung of the degradation ladder runs with the pool. The
+/// determinism guarantee — `--jobs=N` produces bit-identical IR and
 /// PreStats to `--jobs=1` — is asserted over the generated corpus by
 /// tests/parallel_driver_test.cpp.
 ///
@@ -42,6 +42,7 @@
 #include "pre/PreDriver.h"
 #include "support/PassTimer.h"
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -53,9 +54,6 @@ struct ParallelConfig {
   /// Total worker count (the calling thread included); 1 = serial,
   /// 0 = one worker per hardware thread.
   unsigned Jobs = 1;
-  /// Also fan out the per-expression placement analyses within each
-  /// function (MC-SSAPRE's min-cut work is the compile-time hot path).
-  bool ParallelExpressions = true;
 };
 
 /// One function's compilation request for compileCorpus.
@@ -71,22 +69,16 @@ public:
 
   unsigned jobs() const;
 
-  /// Parallel equivalent of compileWithPre: per-expression fan-out for
-  /// the SSA strategies, serial otherwise. Stats go to Opts.Stats as in
-  /// the serial driver. \p Metrics, when set, receives the pipeline
-  /// step timings of this compile.
+  /// compileWithPre on this driver's pool, under Opts.Budget. Stats go
+  /// to Opts.Stats as in the serial driver. \p Metrics, when set,
+  /// receives the pipeline step timings of this compile.
   Function compileFunction(const Function &Prepared, const PreOptions &Opts,
                            PipelineMetrics *Metrics = nullptr);
 
-  /// Fault-isolated compileFunction: attempts the requested strategy
-  /// (parallel fast path when enabled) under Opts.Budget; any recoverable
-  /// failure — injected fault, budget exhaustion, verification failure,
-  /// contained worker exception — degrades serially down the ladder
-  /// (see degradationLadder), ending at the identity rung. Never throws
-  /// a pipeline error and never loses the function. With no failure the
-  /// result, stats and metrics are bit-identical to compileFunction.
-  /// The outcome is recorded in Opts.Stats and \p OutcomeOut (when set),
-  /// and the robustness counters of \p Metrics are updated.
+  /// compileWithFallback on this driver's pool, recording into
+  /// \p Metrics (step timings and robustness counters) when set: the same
+  /// ladder walk, cache protocol and outcome as the serial entry, and
+  /// bit-identical results.
   Function
   compileFunctionWithFallback(const Function &Prepared, const PreOptions &Opts,
                               PipelineMetrics *Metrics = nullptr,
@@ -106,17 +98,45 @@ public:
                                       PipelineMetrics *Metrics = nullptr);
 
 private:
-  /// The fault-isolation ladder itself, cache-oblivious; the public
-  /// compileFunctionWithFallback wraps it in the cache protocol
-  /// (pre/CachedCompile.h) when Opts.Cache is set.
-  Function compileFunctionWithFallbackUncached(const Function &Prepared,
-                                               const PreOptions &Opts,
-                                               PipelineMetrics *Metrics,
-                                               CompileOutcomeRecord *OutcomeOut);
-
   ParallelConfig Config;
   std::unique_ptr<ThreadPool> Pool;
 };
+
+/// One candidate's placement as computed against the pre-motion function:
+/// the decisions, indexed like the FRG they were computed on, plus the
+/// structural fingerprint the commit checks before reusing them.
+struct ExprPlacement {
+  bool HasReals = false;
+  std::vector<char> PhiWillBeAvail;
+  std::vector<char> PhiInReducedGraph; ///< needed for SprReloadedFreq stats
+  std::vector<char> OperandInsert;     ///< flattened over phis' operands
+  std::vector<BlockId> PhiBlocks;
+  std::vector<unsigned> OperandCounts;
+  unsigned NumReals = 0;
+  /// The placement's statistics record (FRG/EFG sizes; the commit adds
+  /// the finalize counts).
+  ExprStatsRecord Rec;
+};
+
+/// Places candidate EI's FRG and returns its statistics record.
+using PlaceExprFn = std::function<ExprStatsRecord(Frg &, unsigned EI)>;
+
+/// The parallel pre-pass of the per-expression loop: builds every
+/// candidate's FRG against \p F and runs \p Place on it, concurrently on
+/// \p Pool, capturing the decisions. Everything read is const and shared;
+/// the calling thread's budget and metrics sink are re-installed on the
+/// pool threads (metrics into per-candidate shards merged in candidate
+/// order). A throwing placement is rethrown here, smallest index first.
+std::vector<ExprPlacement> capturePlacements(ThreadPool &Pool,
+                                             const Function &F, const Cfg &C,
+                                             const DomTree &DT,
+                                             const std::vector<ExprKey> &Exprs,
+                                             const PlaceExprFn &Place);
+
+/// Transfers \p P's decisions onto \p G, an FRG rebuilt for the same
+/// candidate. Returns false, leaving \p G untouched, if \p G is not
+/// structurally identical to the FRG \p P was computed on.
+bool transferPlacement(Frg &G, const ExprPlacement &P);
 
 } // namespace specpre
 

@@ -19,6 +19,7 @@
 #include "pre/Lospre.h"
 #include "pre/McPre.h"
 #include "pre/McSsaPre.h"
+#include "pre/ParallelDriver.h"
 #include "pre/SsaPre.h"
 #include "support/PassTimer.h"
 #include "interp/Interpreter.h"
@@ -27,6 +28,7 @@
 #include "support/Diagnostics.h"
 
 #include <cassert>
+#include <exception>
 
 using namespace specpre;
 
@@ -48,6 +50,11 @@ const char *specpre::strategyName(PreStrategy S) {
     return "LOSPRE";
   }
   SPECPRE_UNREACHABLE("bad strategy");
+}
+
+bool specpre::strategyNeedsProfile(PreStrategy S) {
+  return S == PreStrategy::McSsaPre || S == PreStrategy::McPre ||
+         S == PreStrategy::Lospre;
 }
 
 void specpre::prepareFunction(Function &F) {
@@ -100,7 +107,118 @@ void gateLospreReducibility(const Cfg &C, const DomTree &DT) {
                         "LOSPRE requires a reducible CFG");
 }
 
-void runSsaStrategies(Function &F, const PreOptions &Opts) {
+/// The strategy switch: runs the placement of Opts.Strategy on \p G, the
+/// FRG of candidate \p EI, and returns the candidate's statistics record
+/// with the FRG and EFG sizes filled in (commitExpression adds the rest).
+/// The legs differ only here: MC-SSAPRE replaces SSAPRE's steps 3-8 by
+/// a min cut (paper Figure 4), and leg D solves the same EFG's cut by
+/// treewidth DP.
+ExprStatsRecord placeExpression(Frg &G, unsigned EI, const PreOptions &Opts,
+                                const LexicalDataFlow &LDF,
+                                const LoopInfo &LI) {
+  const ExprKey &E = G.expr();
+  ExprStatsRecord Rec;
+  Rec.Expr = E.toString(G.function());
+  CrashContext ExprFrame("expression", Rec.Expr);
+  Rec.FunctionName = G.function().Name;
+  Rec.ExprIndex = EI;
+  Rec.FrgPhis = static_cast<unsigned>(G.phis().size());
+  Rec.FrgReals = static_cast<unsigned>(G.reals().size());
+
+  const bool Speculative = Opts.Strategy == PreStrategy::McSsaPre ||
+                           Opts.Strategy == PreStrategy::Lospre;
+  if (!Speculative || E.canFault()) {
+    // Leg A's DownSafety placement, with loop speculation for leg B.
+    // Faulting computations cannot be speculated (paper Section 2), so
+    // every leg gives them the safe placement.
+    computeSafePlacement(
+        G, LDF, EI,
+        /*LoopSpeculation=*/Opts.Strategy == PreStrategy::SsaPreSpec &&
+            !E.canFault(),
+        &LI);
+    return Rec;
+  }
+
+  assert(Opts.Prof && "the speculative legs require a profile");
+  EfgStats ES = Opts.Strategy == PreStrategy::Lospre
+                    ? computeLosprePlacement(G, *Opts.Prof, Opts.Objective,
+                                             Opts.LospreMaxWidth)
+                    : computeSpeculativePlacement(G, *Opts.Prof,
+                                                  Opts.Placement, Opts.Algo,
+                                                  Opts.Objective);
+  Rec.Speculated = true;
+  Rec.EfgEmpty = ES.Empty;
+  Rec.EfgNodes = ES.NumNodes;
+  Rec.EfgEdges = ES.NumEdges;
+  Rec.CutWeight = ES.CutWeight;
+  Rec.SprWeight = ES.SprWeight;
+  Rec.InsertedWeight = ES.InsertedWeight;
+  Rec.InPlaceWeight = ES.InPlaceWeight;
+  Rec.Saturated = ES.Saturated;
+  Rec.LospreWidth = ES.TdWidth;
+  Rec.LospreDpEntries = ES.DpEntries;
+  return Rec;
+}
+
+/// The commit step of candidate \p EI, whose placement is on \p G:
+/// finalize (and its statistics into \p Rec), code motion, and under
+/// Opts.Verify the IR verifier and the Definition-1 oracle. Returns false
+/// when a verification failure was reported through Opts.VerifyErrorOut.
+bool commitExpression(Function &F, Frg &G, unsigned EI,
+                      const PreOptions &Opts, ExprStatsRecord &Rec) {
+  FinalizePlan Plan = finalizePlacement(G);
+  for (const RealOcc &R : G.reals()) {
+    Rec.NumReloads += R.Reload;
+    Rec.NumSaves += R.Save;
+    if (Opts.Prof && R.Reload) {
+      uint64_t Freq = Opts.Prof->blockFreq(R.Block);
+      Rec.ReloadedFreq += Freq;
+      // An SPR occurrence: one that participated in the EFG (its
+      // defining Φ survived graph reduction). Only those are covered
+      // by the min-cut reconciliation identities.
+      if (!R.RgExcluded && R.Def.isPhi() && G.phiOf(R.Def).InReducedGraph)
+        Rec.SprReloadedFreq += Freq;
+    }
+  }
+  for (const TempDef &D : Plan.TempDefs) {
+    if (!D.Live)
+      continue;
+    if (D.K == TempDef::Kind::Phi)
+      ++Rec.NumTempPhis;
+    if (D.K == TempDef::Kind::Insert) {
+      ++Rec.NumInsertions;
+      if (Opts.Prof)
+        Rec.InsertedFreq += Opts.Prof->blockFreq(D.Block);
+    }
+  }
+
+  if (!Plan.hasAnyEffect())
+    return true;
+  VarId Temp = F.makeFreshVar("pre.tmp." + std::to_string(EI));
+  applyCodeMotion(F, G, Plan, Temp);
+  if (!Opts.Verify)
+    return true;
+  if (!verifyOrReport(F, Opts,
+                      "after PRE of '" + Rec.Expr + "' with " +
+                          strategyName(Opts.Strategy)))
+    return false;
+  std::vector<std::pair<ExprKey, VarId>> TempMap{{G.expr(), Temp}};
+  std::string Error;
+  if (checkReloadsFullyAvailable(F, TempMap, Error))
+    return true;
+  return reportOracleFailure(Opts, "Definition-1 correctness violated by " +
+                                       std::string(strategyName(
+                                           Opts.Strategy)) +
+                                       ": " + Error);
+}
+
+/// The per-expression loop of the SSA strategies. Without a pool each
+/// candidate's placement is computed on the FRG the loop builds; with
+/// one, all placements are computed concurrently up front against the
+/// pre-motion function and the loop transfers them onto its FRG. Either
+/// way the commits run here, serially in candidate order, so the output
+/// is the same bit for bit (docs/PARALLELISM.md).
+void runSsaStrategies(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
   assert(F.IsSSA && "SSA strategies require SSA form");
   Cfg C(F);
   DomTree DT = DomTree::buildDominators(C);
@@ -113,130 +231,34 @@ void runSsaStrategies(Function &F, const PreOptions &Opts) {
   // rewrites (reloads keep the destination, temps are fresh variables),
   // so it is computed once up front for all candidates.
   LexicalDataFlow LDF = solveLexicalDataFlow(F, C, Exprs);
+  auto Place = [&](Frg &G, unsigned EI) {
+    return placeExpression(G, EI, Opts, LDF, LI);
+  };
+  std::vector<ExprPlacement> Placed;
+  if (Pool)
+    Placed = capturePlacements(*Pool, F, C, DT, Exprs, Place);
 
   for (unsigned EI = 0; EI != Exprs.size(); ++EI) {
-    const ExprKey &E = Exprs[EI];
-    Frg G(F, C, DT, E);
+    if (Pool && !Placed[EI].HasReals)
+      continue;
+    Frg G(F, C, DT, Exprs[EI]);
     if (G.reals().empty())
       continue;
-
-    ExprStatsRecord Rec;
-    Rec.Expr = E.toString(F);
+    // Earlier commits only shift statement indices, which the rebuild
+    // refreshes; should the structure ever differ, placing again here
+    // keeps the commit serial-identical.
+    ExprStatsRecord Rec = Pool && transferPlacement(G, Placed[EI])
+                              ? std::move(Placed[EI].Rec)
+                              : Place(G, EI);
     CrashContext ExprFrame("expression", Rec.Expr);
-    Rec.FunctionName = F.Name;
-    Rec.ExprIndex = EI;
-    Rec.FrgPhis = static_cast<unsigned>(G.phis().size());
-    Rec.FrgReals = static_cast<unsigned>(G.reals().size());
-
-    switch (Opts.Strategy) {
-    case PreStrategy::SsaPre:
-      computeSafePlacement(G, LDF, EI, /*LoopSpeculation=*/false, nullptr);
-      break;
-    case PreStrategy::SsaPreSpec:
-      computeSafePlacement(G, LDF, EI,
-                           /*LoopSpeculation=*/!E.canFault(), &LI);
-      break;
-    case PreStrategy::McSsaPre: {
-      assert(Opts.Prof && "MC-SSAPRE requires a profile");
-      if (E.canFault()) {
-        // Faulting computations cannot be speculated (paper Section 2):
-        // fall back to the safe placement for this expression.
-        computeSafePlacement(G, LDF, EI, false, nullptr);
-        break;
-      }
-      EfgStats ES =
-          computeSpeculativePlacement(G, *Opts.Prof, Opts.Placement,
-                                      Opts.Algo, Opts.Objective);
-      Rec.Speculated = true;
-      Rec.EfgEmpty = ES.Empty;
-      Rec.EfgNodes = ES.NumNodes;
-      Rec.EfgEdges = ES.NumEdges;
-      Rec.CutWeight = ES.CutWeight;
-      Rec.SprWeight = ES.SprWeight;
-      Rec.InsertedWeight = ES.InsertedWeight;
-      Rec.InPlaceWeight = ES.InPlaceWeight;
-      Rec.Saturated = ES.Saturated;
-      break;
-    }
-    case PreStrategy::Lospre: {
-      assert(Opts.Prof && "LOSPRE requires a profile");
-      if (E.canFault()) {
-        computeSafePlacement(G, LDF, EI, false, nullptr);
-        break;
-      }
-      EfgStats ES = computeLosprePlacement(G, *Opts.Prof, Opts.Objective,
-                                           Opts.LospreMaxWidth);
-      Rec.Speculated = true;
-      Rec.EfgEmpty = ES.Empty;
-      Rec.EfgNodes = ES.NumNodes;
-      Rec.EfgEdges = ES.NumEdges;
-      Rec.CutWeight = ES.CutWeight;
-      Rec.SprWeight = ES.SprWeight;
-      Rec.InsertedWeight = ES.InsertedWeight;
-      Rec.InPlaceWeight = ES.InPlaceWeight;
-      Rec.Saturated = ES.Saturated;
-      Rec.LospreWidth = ES.TdWidth;
-      Rec.LospreDpEntries = ES.DpEntries;
-      break;
-    }
-    default:
-      SPECPRE_UNREACHABLE("non-SSA strategy in runSsaStrategies");
-    }
-
-    FinalizePlan Plan = finalizePlacement(G);
-    for (const RealOcc &R : G.reals()) {
-      Rec.NumReloads += R.Reload;
-      Rec.NumSaves += R.Save;
-      if (Opts.Prof && R.Reload) {
-        uint64_t Freq = Opts.Prof->blockFreq(R.Block);
-        Rec.ReloadedFreq += Freq;
-        // An SPR occurrence: one that participated in the EFG (its
-        // defining Φ survived graph reduction). Only those are covered
-        // by the min-cut reconciliation identities.
-        if (!R.RgExcluded && R.Def.isPhi() && G.phiOf(R.Def).InReducedGraph)
-          Rec.SprReloadedFreq += Freq;
-      }
-    }
-    for (const TempDef &D : Plan.TempDefs) {
-      if (!D.Live)
-        continue;
-      if (D.K == TempDef::Kind::Phi)
-        ++Rec.NumTempPhis;
-      if (D.K == TempDef::Kind::Insert) {
-        ++Rec.NumInsertions;
-        if (Opts.Prof)
-          Rec.InsertedFreq += Opts.Prof->blockFreq(D.Block);
-      }
-    }
-
-    if (Plan.hasAnyEffect()) {
-      VarId Temp = F.makeFreshVar("pre.tmp." + std::to_string(EI));
-      applyCodeMotion(F, G, Plan, Temp);
-      if (Opts.Verify) {
-        if (!verifyOrReport(F, Opts,
-                            std::string("after PRE of '") + E.toString(F) +
-                                "' with " + strategyName(Opts.Strategy)))
-          return;
-        std::vector<std::pair<ExprKey, VarId>> TempMap{{E, Temp}};
-        std::string Error;
-        if (!checkReloadsFullyAvailable(F, TempMap, Error)) {
-          reportOracleFailure(Opts,
-                              "Definition-1 correctness violated by " +
-                                  std::string(strategyName(Opts.Strategy)) +
-                                  ": " + Error);
-          return;
-        }
-      }
-    }
-
+    if (!commitExpression(F, G, EI, Opts, Rec))
+      return;
     if (Opts.Stats)
       Opts.Stats->addRecord(std::move(Rec));
   }
 }
 
-} // namespace
-
-void specpre::runPre(Function &F, const PreOptions &Opts) {
+void runPreWith(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
   switch (Opts.Strategy) {
   case PreStrategy::None:
     return;
@@ -244,7 +266,7 @@ void specpre::runPre(Function &F, const PreOptions &Opts) {
   case PreStrategy::SsaPreSpec:
   case PreStrategy::McSsaPre:
   case PreStrategy::Lospre:
-    runSsaStrategies(F, Opts);
+    runSsaStrategies(F, Opts, Pool);
     return;
   case PreStrategy::McPre: {
     assert(Opts.Prof && "MC-PRE requires a profile");
@@ -265,8 +287,14 @@ void specpre::runPre(Function &F, const PreOptions &Opts) {
   SPECPRE_UNREACHABLE("bad strategy");
 }
 
+} // namespace
+
+void specpre::runPre(Function &F, const PreOptions &Opts) {
+  runPreWith(F, Opts, nullptr);
+}
+
 Function specpre::compileWithPre(const Function &Prepared,
-                                 const PreOptions &Opts) {
+                                 const PreOptions &Opts, ThreadPool *Pool) {
   assert(!Prepared.IsSSA && "compileWithPre expects prepared non-SSA input");
   Function F = Prepared;
   if (Opts.Strategy == PreStrategy::SsaPre ||
@@ -274,17 +302,8 @@ Function specpre::compileWithPre(const Function &Prepared,
       Opts.Strategy == PreStrategy::McSsaPre ||
       Opts.Strategy == PreStrategy::Lospre)
     constructSsa(F);
-  runPre(F, Opts);
+  runPreWith(F, Opts, Pool);
   return F;
-}
-
-Status specpre::runPreChecked(Function &F, const PreOptions &Opts) {
-  try {
-    runPre(F, Opts);
-    return Status::ok();
-  } catch (const StatusException &E) {
-    return E.status();
-  }
 }
 
 std::vector<PreStrategy> specpre::degradationLadder(PreStrategy Requested) {
@@ -333,9 +352,8 @@ namespace {
 
 /// The degradation-ladder walk itself, cache-oblivious; the public
 /// compileWithFallback wraps it in the cache protocol.
-Function compileWithFallbackUncached(const Function &Prepared,
-                                     const PreOptions &Opts,
-                                     CompileOutcomeRecord *OutcomeOut) {
+Function walkLadder(const Function &Prepared, const PreOptions &Opts,
+                    ThreadPool *Pool, CompileOutcomeRecord *OutcomeOut) {
   assert(!Prepared.IsSSA &&
          "compileWithFallback expects prepared non-SSA input");
   CrashContext FnFrame("function", Prepared.Name);
@@ -343,6 +361,22 @@ Function compileWithFallbackUncached(const Function &Prepared,
   CompileOutcomeRecord Outcome;
   Outcome.FunctionName = Prepared.Name;
   Outcome.Requested = strategyName(Opts.Strategy);
+  uint64_t WorkerFailures = 0;
+  auto Finish = [&](Function F) {
+    if (Opts.Stats)
+      Opts.Stats->addOutcome(Outcome);
+    if (OutcomeOut)
+      *OutcomeOut = Outcome;
+    if (PipelineMetrics *M = currentMetricsSink()) {
+      RobustnessCounters &R = M->robustness();
+      ++R.FunctionsCompiled;
+      if (Outcome.degraded())
+        ++R.FunctionsDegraded;
+      R.LadderRetries += Outcome.Retries;
+      R.WorkerFailures += WorkerFailures;
+    }
+    return F;
+  };
 
   const bool Budgeted = !Opts.Budget.unlimited();
   BudgetTracker Tracker(Opts.Budget);
@@ -364,22 +398,24 @@ Function compileWithFallbackUncached(const Function &Prepared,
       // starved by the expensive attempt that preceded it.
       Tracker.reset();
       BudgetScope Scope(Budgeted ? &Tracker : nullptr);
-      Function F = compileWithPre(Prepared, RungOpts);
+      Function F = compileWithPre(Prepared, RungOpts, Pool);
       Failure = checkObservableEquivalence(Prepared, F, Opts);
       if (Failure.isOk()) {
         Outcome.Used = strategyName(Rung);
-        if (Opts.Stats) {
+        if (Opts.Stats)
           for (const ExprStatsRecord &R : RungStats.records())
             Opts.Stats->addRecord(R);
-          Opts.Stats->addOutcome(Outcome);
-        }
-        if (OutcomeOut)
-          *OutcomeOut = Outcome;
-        return F;
+        return Finish(std::move(F));
       }
     } catch (const StatusException &E) {
       Failure = E.status();
+    } catch (const std::exception &E) {
+      // A non-Status exception escaping a worker (bad_alloc, logic_error)
+      // is contained the same way; only signals/aborts remain fatal.
+      Failure = Status::error(ErrorCode::WorkerFailed, E.what());
     }
+    if (Failure.code() == ErrorCode::WorkerFailed)
+      ++WorkerFailures;
     if (Outcome.Cause.empty()) {
       Outcome.Cause = errorCodeName(Failure.code());
       Outcome.Message = Failure.message();
@@ -390,18 +426,19 @@ Function compileWithFallbackUncached(const Function &Prepared,
   // Unreachable in practice: the None rung runs no pass code and has no
   // fault sites, so it cannot fail. Return the input unchanged anyway.
   Outcome.Used = strategyName(PreStrategy::None);
-  if (Opts.Stats)
-    Opts.Stats->addOutcome(Outcome);
-  if (OutcomeOut)
-    *OutcomeOut = Outcome;
-  return Prepared;
+  return Finish(Prepared);
 }
 
 } // namespace
 
 Function specpre::compileWithFallback(const Function &Prepared,
                                       const PreOptions &Opts,
-                                      CompileOutcomeRecord *OutcomeOut) {
-  return compileThroughCache(Prepared, Opts, OutcomeOut,
-                             compileWithFallbackUncached);
+                                      CompileOutcomeRecord *OutcomeOut,
+                                      ThreadPool *Pool) {
+  return compileThroughCache(
+      Prepared, Opts, OutcomeOut,
+      [Pool](const Function &P, const PreOptions &O,
+             CompileOutcomeRecord *Out) {
+        return walkLadder(P, O, Pool, Out);
+      });
 }

@@ -22,6 +22,12 @@
 ///
 /// The SSA strategies run on SSA form; MC-PRE runs on non-SSA form.
 ///
+/// There is one per-expression loop for the SSA strategies and one
+/// degradation-ladder walk. Both take an optional ThreadPool: without
+/// one they are the serial pipeline; with one, the per-expression
+/// placements are computed concurrently up front and committed by the
+/// same loop (pre/ParallelDriver.h, docs/PARALLELISM.md).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPECPRE_PRE_PREDRIVER_H
@@ -41,6 +47,7 @@
 namespace specpre {
 
 class CompileCache;
+class ThreadPool;
 
 enum class PreStrategy {
   None,       ///< No PRE at all (sanity baseline).
@@ -55,6 +62,10 @@ enum class PreStrategy {
 };
 
 const char *strategyName(PreStrategy S);
+
+/// True for the profile-guided strategies (MC-SSAPRE, LOSPRE, MC-PRE),
+/// which a compile must train or load a profile for.
+bool strategyNeedsProfile(PreStrategy S);
 
 struct PreOptions {
   PreStrategy Strategy = PreStrategy::McSsaPre;
@@ -97,11 +108,10 @@ struct PreOptions {
   /// time and table memory). Only consulted when Strategy == Lospre;
   /// part of the compilation cache key there.
   unsigned LospreMaxWidth = 8;
-  /// Content-addressed compilation cache consulted by the fallback
-  /// drivers (serial compileWithFallback and the parallel driver's
-  /// compileFunctionWithFallback); see pre/CachedCompile.h for the
-  /// protocol and docs/CACHING.md for the design. Null (the default)
-  /// compiles uncached.
+  /// Content-addressed compilation cache consulted by compileWithFallback
+  /// (and so by the parallel driver's compileFunctionWithFallback); see
+  /// pre/CachedCompile.h for the protocol and docs/CACHING.md for the
+  /// design. Null (the default) compiles uncached.
   CompileCache *Cache = nullptr;
 };
 
@@ -110,21 +120,17 @@ struct PreOptions {
 /// critical edges. Must run before profile collection so block ids match.
 void prepareFunction(Function &F);
 
-/// Runs the selected PRE strategy over a prepared function. For the SSA
-/// strategies, \p F must already be in SSA form (see constructSsa); for
-/// McPre it must not be. Mutates F in place.
+/// Runs the selected PRE strategy over a prepared function, serially. For
+/// the SSA strategies, \p F must already be in SSA form (see
+/// constructSsa); for McPre it must not be. Mutates F in place.
 void runPre(Function &F, const PreOptions &Opts);
 
 /// Convenience: takes a *prepared, non-SSA* function, builds SSA if the
 /// strategy requires it, and runs PRE. Returns the optimized function,
-/// leaving the input untouched.
-Function compileWithPre(const Function &Prepared, const PreOptions &Opts);
-
-/// Recoverable variant of runPre: catches StatusException from the
-/// pipeline (injected faults, budget exhaustion, recoverable internal
-/// errors) and returns it as a Status. On error \p F is in an undefined
-/// state and must be discarded.
-Status runPreChecked(Function &F, const PreOptions &Opts);
+/// leaving the input untouched. With \p Pool, the SSA strategies place
+/// their candidates concurrently; the result is bit-identical either way.
+Function compileWithPre(const Function &Prepared, const PreOptions &Opts,
+                        ThreadPool *Pool = nullptr);
 
 /// The retry sequence compileWithFallback walks when \p Requested fails,
 /// most capable first, ending in PreStrategy::None (the identity rung,
@@ -137,7 +143,7 @@ Status runPreChecked(Function &F, const PreOptions &Opts);
 std::vector<PreStrategy> degradationLadder(PreStrategy Requested);
 
 /// Interpreter equivalence of \p Optimized against \p Prepared on
-/// Opts.EquivalenceInputs (ok when unset). Used by the ladder drivers to
+/// Opts.EquivalenceInputs (ok when unset). Used by the ladder walk to
 /// gate acceptance of a rung's result.
 Status checkObservableEquivalence(const Function &Prepared,
                                   const Function &Optimized,
@@ -146,17 +152,27 @@ Status checkObservableEquivalence(const Function &Prepared,
 /// Fault-isolated compilation of one function: tries the requested
 /// strategy under Opts.Budget, and on any recoverable failure (injected
 /// fault, budget exhaustion, verification failure, recoverable internal
-/// error) retries down the degradation ladder. Each rung restarts with a
-/// fresh budget and is accepted only if the verifier (and, when
-/// EquivalenceInputs is set, interpreter equivalence with the input)
-/// passes. Never fails: the identity rung returns the input unchanged.
+/// error, or a contained non-Status exception as worker-failed) retries
+/// down the degradation ladder. Each rung restarts with a fresh budget,
+/// runs with \p Pool when one is given, and is accepted only if the
+/// verifier (and, when EquivalenceInputs is set, interpreter equivalence
+/// with the input) passes. Never fails: the identity rung returns the
+/// input unchanged. Consults Opts.Cache (pre/CachedCompile.h).
 ///
 /// The outcome (rung used, retries, first failure) is written to
 /// \p OutcomeOut when non-null and recorded in Opts.Stats when set.
 /// Partial statistics of abandoned rungs are discarded, so with no
 /// degradation the stats stream is identical to compileWithPre's.
+///
+/// Every rung, and a replayed cache hit, records into the metrics sink
+/// installed on the calling thread (MetricsScope), whose robustness
+/// counters count: functions_compiled, every function returned (hits
+/// included); functions_degraded, those that landed below the requested
+/// rung; ladder_retries, rungs abandoned; worker_failures, rungs
+/// abandoned because of a worker-failed exception.
 Function compileWithFallback(const Function &Prepared, const PreOptions &Opts,
-                             CompileOutcomeRecord *OutcomeOut = nullptr);
+                             CompileOutcomeRecord *OutcomeOut = nullptr,
+                             ThreadPool *Pool = nullptr);
 
 } // namespace specpre
 

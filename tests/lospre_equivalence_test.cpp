@@ -159,8 +159,9 @@ TEST(TreeDecomposition, HomeBagInvariants) {
     EXPECT_TRUE(std::find(Bag.Vertices.begin(), Bag.Vertices.end(), V) !=
                 Bag.Vertices.end());
     // Child-before-parent schedule: parents always have larger indices.
-    if (Bag.Parent != -1)
+    if (Bag.Parent != -1) {
       EXPECT_GT(Bag.Parent, static_cast<int>(TD->HomeBag[V]));
+    }
   }
 }
 

@@ -1,12 +1,14 @@
 //===- tests/parallel_driver_test.cpp - Parallel pipeline determinism ----------===//
 //
-// The determinism differential battery for the parallel PRE pipeline:
-// the whole generated corpus runs through the serial reference pipeline
-// (compileWithPre — untouched by the parallel driver) and through
-// ParallelPreDriver at --jobs=4, and the outputs must match
-// bit-identically — printed IR, interpreter dynamic counts, and the
-// merged PreStats record sequence — for all six strategies. Plus unit
-// tests of the work-stealing ThreadPool itself.
+// The determinism differential battery for the parallel PRE pipeline.
+// There is one pipeline, and a pool only changes where each candidate's
+// placement is computed: in a concurrent pre-pass against the
+// pre-motion function instead of inside the per-expression loop. The
+// whole generated corpus runs through the pool-less pipeline
+// (compileWithPre) and through ParallelPreDriver at --jobs=4, and the
+// outputs must match bit-identically — printed IR, interpreter dynamic
+// counts, and the merged PreStats record sequence — for all six
+// strategies. Plus unit tests of the work-stealing ThreadPool itself.
 //
 //===----------------------------------------------------------------------===//
 
@@ -144,8 +146,8 @@ TEST_P(ParallelDifferential, BitIdenticalToSerialOnCorpus) {
   PreStrategy Strategy = GetParam();
   std::vector<CorpusProgram> Corpus = buildCorpus();
 
-  // Serial reference: the unmodified PreDriver pipeline, function by
-  // function, shards stamped and merged like any corpus driver would.
+  // Serial reference: the pool-less pipeline, function by function,
+  // shards stamped and merged like any corpus driver would.
   std::vector<std::string> SerialIr;
   std::vector<Function> SerialFns;
   PreStats SerialStats;
@@ -265,11 +267,10 @@ TEST(ParallelDriver, MetricsInvocationCountsMatchSerial) {
     return Counts;
   };
 
-  // jobs=1 routes through the serial runPre (one FRG build per
-  // expression); jobs=4 analyses and then commits (two builds per
-  // expression with reals, one for real-less candidates) — so the
-  // placement-step counts must match exactly and the FRG counts must
-  // bracket the serial ones.
+  // jobs=1 has no pool (one FRG build per expression); jobs=4 places in
+  // the pre-pass and then commits (two builds per expression with reals,
+  // one for real-less candidates) — so the placement-step counts must
+  // match exactly and the FRG counts must bracket the serial ones.
   std::vector<uint64_t> Serial = CountsFor(1);
   std::vector<uint64_t> Parallel = CountsFor(4);
   auto At = [](const std::vector<uint64_t> &V, PipelineStep S) {

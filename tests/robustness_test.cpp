@@ -15,6 +15,7 @@
 #include "pre/ParallelDriver.h"
 #include "pre/PreDriver.h"
 #include "support/Budget.h"
+#include "support/CompileCache.h"
 #include "support/FaultInjector.h"
 #include "support/Status.h"
 
@@ -324,6 +325,129 @@ TEST_F(RobustnessTest, OutcomeRecordedInStats) {
   ASSERT_EQ(Stats.outcomes().size(), 1u);
   EXPECT_EQ(Stats.outcomes()[0].Used, "SSAPREsp");
   EXPECT_EQ(Stats.numDegraded(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Robustness counters and step counts: each counts what its name says,
+// through the serial entry point and the driver alike.
+//===----------------------------------------------------------------------===//
+
+/// Metrics of \p Times compiles of \p C under \p PO through the serial
+/// compileWithFallback, with a MetricsScope installed.
+PipelineMetrics serialMetrics(const Case &C, const PreOptions &PO,
+                              int Times = 1) {
+  PipelineMetrics M;
+  MetricsScope Scope(&M);
+  for (int I = 0; I != Times; ++I)
+    compileWithFallback(C.Prepared, PO);
+  return M;
+}
+
+/// The same through a \p Jobs-worker driver's compileFunctionWithFallback.
+PipelineMetrics driverMetrics(const Case &C, const PreOptions &PO,
+                              unsigned Jobs, int Times = 1) {
+  ParallelConfig PC;
+  PC.Jobs = Jobs;
+  ParallelPreDriver Driver(PC);
+  PipelineMetrics M;
+  for (int I = 0; I != Times; ++I)
+    Driver.compileFunctionWithFallback(C.Prepared, PO, &M);
+  return M;
+}
+
+PreOptions mcSsaPreOptions(const Case &C) {
+  PreOptions PO;
+  PO.Strategy = PreStrategy::McSsaPre;
+  PO.Prof = &C.NodeOnly;
+  return PO;
+}
+
+uint64_t invocations(const PipelineMetrics &M, PipelineStep S) {
+  return M.step(S).Invocations;
+}
+
+TEST_F(RobustnessTest, BudgetBailoutIsNotAWorkerFailure) {
+  Case C = prepareCase();
+  PreOptions PO = mcSsaPreOptions(C);
+  PO.Budget.MaxGraphNodes = 1;
+  for (const PipelineMetrics &M : {serialMetrics(C, PO),
+                                   driverMetrics(C, PO, 1),
+                                   driverMetrics(C, PO, 4)}) {
+    const RobustnessCounters &R = M.robustness();
+    EXPECT_EQ(R.FunctionsCompiled, 1u);
+    EXPECT_EQ(R.FunctionsDegraded, 1u);
+    EXPECT_EQ(R.LadderRetries, 3u);
+    EXPECT_EQ(R.WorkerFailures, 0u);
+  }
+}
+
+TEST_F(RobustnessTest, SerialLadderCountsLikeTheDriver) {
+  Case C = prepareCase();
+  PreOptions Clean = mcSsaPreOptions(C);
+  PreOptions Starved = Clean;
+  Starved.Budget.MaxGraphNodes = 1;
+  for (const char *Spec : {"", "min-cut:1", "min-cut:1,speculation:1"}) {
+    for (const PreOptions *PO : {&Clean, &Starved}) {
+      ASSERT_TRUE(configureFaultInjection(Spec).isOk());
+      PipelineMetrics Serial = serialMetrics(C, *PO);
+      ASSERT_TRUE(configureFaultInjection(Spec).isOk());
+      PipelineMetrics Driver = driverMetrics(C, *PO, 1);
+      const RobustnessCounters &S = Serial.robustness();
+      const RobustnessCounters &D = Driver.robustness();
+      EXPECT_EQ(S.FunctionsCompiled, 1u) << Spec;
+      EXPECT_EQ(S.FunctionsCompiled, D.FunctionsCompiled) << Spec;
+      EXPECT_EQ(S.FunctionsDegraded, D.FunctionsDegraded) << Spec;
+      EXPECT_EQ(S.LadderRetries, D.LadderRetries) << Spec;
+      EXPECT_EQ(S.WorkerFailures, D.WorkerFailures) << Spec;
+      for (unsigned Step = 0; Step != NumPipelineSteps; ++Step)
+        EXPECT_EQ(Serial.step(static_cast<PipelineStep>(Step)).Invocations,
+                  Driver.step(static_cast<PipelineStep>(Step)).Invocations)
+            << Spec << ": "
+            << pipelineStepName(static_cast<PipelineStep>(Step));
+    }
+  }
+}
+
+TEST_F(RobustnessTest, DegradedStepCountsIncludeFallbackRungs) {
+  Case C = prepareCase();
+  PreOptions Direct = mcSsaPreOptions(C);
+  Direct.Strategy = PreStrategy::SsaPreSpec;
+  PipelineMetrics Want;
+  {
+    MetricsScope Scope(&Want);
+    compileWithPre(C.Prepared, Direct);
+  }
+  ASSERT_GT(invocations(Want, PipelineStep::SafePlacement), 0u);
+  ASSERT_GT(invocations(Want, PipelineStep::CodeMotion), 0u);
+
+  // min-cut:1 lands the MC-SSAPRE request on SSAPREsp, whose steps are
+  // the only safe placements and code motions of the whole compile.
+  PreOptions PO = mcSsaPreOptions(C);
+  for (unsigned Jobs : {1u, 4u}) {
+    ASSERT_TRUE(configureFaultInjection("min-cut:1").isOk());
+    PipelineMetrics Got = driverMetrics(C, PO, Jobs);
+    EXPECT_EQ(Got.robustness().FunctionsDegraded, 1u);
+    for (PipelineStep S :
+         {PipelineStep::SafePlacement, PipelineStep::CodeMotion})
+      EXPECT_EQ(invocations(Got, S), invocations(Want, S))
+          << "jobs=" << Jobs << ": " << pipelineStepName(S);
+  }
+}
+
+TEST_F(RobustnessTest, ReplayedCacheHitsCountAsCompiled) {
+  Case C = prepareCase();
+  PreOptions PO = mcSsaPreOptions(C);
+  CompileCache SerialCache({});
+  PO.Cache = &SerialCache;
+  PipelineMetrics Serial = serialMetrics(C, PO, 2);
+  CompileCache DriverCache({});
+  PO.Cache = &DriverCache;
+  PipelineMetrics Driver = driverMetrics(C, PO, 1, 2);
+
+  EXPECT_EQ(SerialCache.counters().Hits, 1u);
+  EXPECT_EQ(DriverCache.counters().Hits, 1u);
+  EXPECT_EQ(Serial.robustness().FunctionsCompiled, 2u);
+  EXPECT_EQ(Driver.robustness().FunctionsCompiled, 2u);
 }
 
 } // namespace

@@ -45,9 +45,11 @@
 //                           entries, report, exit (no input file needed)
 //     --connect=PATH        client mode: send the compile to a running
 //                           specpre-serve daemon at this socket instead
-//                           of compiling locally; stdout is bit-identical
-//                           to a local run (docs/SERVING.md). Flags that
-//                           only make sense locally (--dot-*, --run,
+//                           of compiling locally; stdout, stderr and the
+//                           exit code are a local run's, which runs the
+//                           same request through the same
+//                           processServeRequest (docs/SERVING.md). Flags
+//                           that only make sense locally (--dot-*, --run,
 //                           --stats, --profile-out, --metrics-out,
 //                           --inject-faults, --cache*, --jobs) are
 //                           rejected in this mode.
@@ -68,16 +70,11 @@
 #include "analysis/Cfg.h"
 #include "analysis/DomTree.h"
 #include "interp/Interpreter.h"
-#include "ir/Parser.h"
-#include "ir/Printer.h"
-#include "opt/Cleanup.h"
-#include "opt/ValueNumbering.h"
 #include "pre/CompileService.h"
 #include "pre/DotExport.h"
 #include "pre/ParallelDriver.h"
 #include "pre/PreDriver.h"
 #include "ssa/SsaConstruction.h"
-#include "ssa/SsaDestruction.h"
 #include "support/CompileCache.h"
 #include "support/CrashContext.h"
 #include "support/FaultInjector.h"
@@ -180,21 +177,7 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       return std::nullopt;
     };
     if (auto V = Value("--strategy=")) {
-      if (*V == "ssapre")
-        Opts.Strategy = PreStrategy::SsaPre;
-      else if (*V == "ssapresp")
-        Opts.Strategy = PreStrategy::SsaPreSpec;
-      else if (*V == "mcssapre")
-        Opts.Strategy = PreStrategy::McSsaPre;
-      else if (*V == "mcpre")
-        Opts.Strategy = PreStrategy::McPre;
-      else if (*V == "lospre")
-        Opts.Strategy = PreStrategy::Lospre;
-      else if (*V == "lcm")
-        Opts.Strategy = PreStrategy::Lcm;
-      else if (*V == "none")
-        Opts.Strategy = PreStrategy::None;
-      else {
+      if (!parseStrategyFlag(*V, Opts.Strategy)) {
         std::fprintf(stderr, "error: unknown strategy '%s'\n", V->c_str());
         return false;
       }
@@ -374,64 +357,57 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
   return !Opts.InputPath.empty();
 }
 
-void reportRun(const char *Label, const ExecResult &R) {
-  std::printf("%s: ret=%lld computations=%llu cycles=%llu%s%s\n", Label,
-              static_cast<long long>(R.ReturnValue),
-              static_cast<unsigned long long>(R.DynamicComputations),
-              static_cast<unsigned long long>(R.Cycles),
-              R.Trapped ? " [TRAPPED]" : "",
-              R.TimedOut ? " [TIMED OUT]" : "");
+/// Reads \p Path into \p Out; prints the error and returns false when
+/// it cannot be opened.
+bool readFile(const std::string &Path, const char *What, std::string &Out) {
+  std::ifstream In(Path);
+  if (!In) {
+    std::fprintf(stderr, "error: cannot open %s'%s'\n", What, Path.c_str());
+    return false;
+  }
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  Out = Buf.str();
+  return true;
 }
 
-int processFunction(Function &F, const ToolOptions &Opts,
-                    ParallelPreDriver &Driver, PipelineMetrics *Metrics,
-                    CompileCache *Cache) {
-  prepareFunction(F);
+/// The request a run with \p Opts makes, whether it compiles locally or
+/// through --connect. Returns false after printing the error when an
+/// input file cannot be read.
+bool buildRequest(const ToolOptions &Opts, ServeRequest &Req) {
+  if (!readFile(Opts.InputPath, "", Req.ModuleText))
+    return false;
+  Req.Strategy = Opts.Strategy;
+  Req.Placement = Opts.Placement;
+  Req.Algo = Opts.Algo;
+  Req.Objective = Opts.Objective;
+  Req.Budget = Opts.Budget;
+  Req.LospreMaxWidth = Opts.LospreMaxWidth;
+  Req.TrainArgs = Opts.TrainArgs;
+  Req.OnlyFunction = Opts.OnlyFunction;
+  Req.Emit = Opts.Emit;
+  Req.Cleanup = Opts.Cleanup;
+  Req.Gvn = Opts.Gvn;
+  Req.OutOfSsa = Opts.OutOfSsa;
+  Req.ReportOutcomes = Opts.ReportOutcomes;
+  return Opts.ProfileInPath.empty() ||
+         readFile(Opts.ProfileInPath, "profile ", Req.ProfileText);
+}
 
-  bool NeedsProfile = Opts.Strategy == PreStrategy::McSsaPre ||
-                      Opts.Strategy == PreStrategy::McPre ||
-                      Opts.Strategy == PreStrategy::Lospre;
-  Profile Prof;
-  if (NeedsProfile && !Opts.ProfileInPath.empty()) {
-    std::ifstream In(Opts.ProfileInPath);
-    if (!In) {
-      std::fprintf(stderr, "error: cannot open profile '%s'\n",
-                   Opts.ProfileInPath.c_str());
-      return 1;
-    }
-    std::stringstream Buf;
-    Buf << In.rdbuf();
-    std::string Error;
-    if (!parseProfile(Buf.str(), Prof, Error)) {
-      std::fprintf(stderr, "error: %s: %s\n", Opts.ProfileInPath.c_str(),
-                   Error.c_str());
-      return 1;
-    }
-    Prof.BlockFreq.resize(F.numBlocks(), 0);
-  } else if (NeedsProfile) {
-    if (!Opts.TrainArgs) {
-      std::fprintf(stderr,
-                   "error: --strategy=%s requires --train=... arguments or "
-                   "--profile-in=...\n",
-                   strategyName(Opts.Strategy));
-      return 1;
-    }
-    if (Opts.TrainArgs->size() != F.Params.size()) {
-      std::fprintf(stderr,
-                   "error: function '%s' takes %zu arguments, --train has "
-                   "%zu\n",
-                   F.Name.c_str(), F.Params.size(), Opts.TrainArgs->size());
-      return 1;
-    }
-    ExecOptions EO;
-    EO.CollectProfile = &Prof;
-    ExecResult Train = interpret(F, *Opts.TrainArgs, EO);
-    reportRun("train", Train);
-    if (Train.Trapped || Train.TimedOut) {
-      std::fprintf(stderr, "error: training run failed\n");
-      return 1;
-    }
-  }
+/// Writes a response's streams to ours and returns its exit code.
+int replay(const ServeResponse &Resp) {
+  std::fwrite(Resp.StdoutText.data(), 1, Resp.StdoutText.size(), stdout);
+  std::fwrite(Resp.StderrText.data(), 1, Resp.StderrText.size(), stderr);
+  return Resp.ExitCode;
+}
+
+/// The local side channels of one compiled function, run as the
+/// per-function hook of processServeRequest: --profile-out, --dot-cfg,
+/// --dot-frg, --stats and --run.
+int runLocalSideChannels(const ToolOptions &Opts, const Function &F,
+                         const Profile &Prof, const Function &Optimized,
+                         const PreStats &Stats, ServeResponse &Resp) {
+  const bool NeedsProfile = strategyNeedsProfile(Opts.Strategy);
   if (NeedsProfile && !Opts.ProfileOutPath.empty()) {
     std::ofstream Out(Opts.ProfileOutPath);
     Out << serializeProfile(Prof);
@@ -459,64 +435,33 @@ int processFunction(Function &F, const ToolOptions &Opts,
     }
   }
 
-  Profile NodeOnly = Prof.withoutEdgeFreqs();
-  PreOptions PO;
-  PO.Strategy = Opts.Strategy;
-  PO.Prof = Opts.Strategy == PreStrategy::McPre ? &Prof : &NodeOnly;
-  PO.Placement = Opts.Placement;
-  PO.Algo = Opts.Algo;
-  PO.Objective = Opts.Objective;
-  PO.Budget = Opts.Budget;
-  PO.LospreMaxWidth = Opts.LospreMaxWidth;
-  PO.Cache = Cache;
-  PreStats Stats;
-  PO.Stats = &Stats;
-
-  CompileOutcomeRecord Outcome;
-  Function Optimized = Driver.compileFunctionWithFallback(F, PO, Metrics,
-                                                          &Outcome);
-  // Degradations go to stderr so stdout stays bit-identical to a clean
-  // run; --report-outcomes forces a line even for clean compiles.
-  if (Outcome.degraded() || Opts.ReportOutcomes) {
-    std::fprintf(stderr, "outcome: %s requested=%s used=%s retries=%u",
-                 F.Name.c_str(), Outcome.Requested.c_str(),
-                 Outcome.Used.c_str(), Outcome.Retries);
-    if (!Outcome.Cause.empty())
-      std::fprintf(stderr, " cause=%s (%s)", Outcome.Cause.c_str(),
-                   Outcome.Message.c_str());
-    std::fprintf(stderr, "\n");
-  }
-  if (Opts.Gvn && Optimized.IsSSA)
-    runValueNumbering(Optimized);
-  if (Opts.Cleanup && Optimized.IsSSA)
-    runCleanupPipeline(Optimized);
-  if (Opts.OutOfSsa && Optimized.IsSSA)
-    destructSsa(Optimized);
-
-  if (Opts.Emit)
-    std::printf("%s", printFunction(Optimized).c_str());
-
   if (Opts.Stats) {
-    std::printf("; per-expression statistics (%s):\n",
-                strategyName(Opts.Strategy));
-    for (const ExprStatsRecord &R : Stats.records())
-      std::printf(";   %-20s frg=%up+%ur efg=%s%u ins=%u reload=%u save=%u\n",
-                  R.Expr.c_str(), R.FrgPhis, R.FrgReals,
-                  R.EfgEmpty ? "-" : "", R.EfgEmpty ? 0 : R.EfgNodes,
-                  R.NumInsertions, R.NumReloads, R.NumSaves);
+    Resp.StdoutText += "; per-expression statistics (" +
+                       std::string(strategyName(Opts.Strategy)) + "):\n";
+    for (const ExprStatsRecord &R : Stats.records()) {
+      std::string Expr = R.Expr;
+      Expr.resize(std::max<size_t>(Expr.size(), 20), ' ');
+      char Counts[160];
+      std::snprintf(Counts, sizeof(Counts),
+                    " frg=%up+%ur efg=%s%u ins=%u reload=%u save=%u\n",
+                    R.FrgPhis, R.FrgReals, R.EfgEmpty ? "-" : "",
+                    R.EfgEmpty ? 0 : R.EfgNodes, R.NumInsertions,
+                    R.NumReloads, R.NumSaves);
+      Resp.StdoutText += ";   " + Expr + Counts;
+    }
   }
 
   if (Opts.RunArgs) {
     if (Opts.RunArgs->size() != F.Params.size()) {
-      std::fprintf(stderr, "error: --run argument count mismatch\n");
+      Resp.StderrText += "error: --run argument count mismatch\n";
       return 1;
     }
     ExecResult Before = interpret(F, *Opts.RunArgs);
     ExecResult After = interpret(Optimized, *Opts.RunArgs);
-    reportRun("before", Before);
-    reportRun("after ", After);
+    Resp.appendRunReport("before", Before);
+    Resp.appendRunReport("after ", After);
     if (!Before.sameObservableBehavior(After)) {
-      std::fprintf(stderr, "error: behavior changed!\n");
+      Resp.StderrText += "error: behavior changed!\n";
       return 1;
     }
   }
@@ -554,41 +499,9 @@ int runClientMode(const ToolOptions &Opts) {
     return 2;
   }
 
-  std::ifstream In(Opts.InputPath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n",
-                 Opts.InputPath.c_str());
-    return 1;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-
   ServeRequest Req;
-  Req.ModuleText = Buffer.str();
-  Req.Strategy = Opts.Strategy;
-  Req.Placement = Opts.Placement;
-  Req.Algo = Opts.Algo;
-  Req.Objective = Opts.Objective;
-  Req.Budget = Opts.Budget;
-  Req.LospreMaxWidth = Opts.LospreMaxWidth;
-  Req.TrainArgs = Opts.TrainArgs;
-  Req.OnlyFunction = Opts.OnlyFunction;
-  Req.Emit = Opts.Emit;
-  Req.Cleanup = Opts.Cleanup;
-  Req.Gvn = Opts.Gvn;
-  Req.OutOfSsa = Opts.OutOfSsa;
-  Req.ReportOutcomes = Opts.ReportOutcomes;
-  if (!Opts.ProfileInPath.empty()) {
-    std::ifstream PIn(Opts.ProfileInPath);
-    if (!PIn) {
-      std::fprintf(stderr, "error: cannot open profile '%s'\n",
-                   Opts.ProfileInPath.c_str());
-      return 1;
-    }
-    std::stringstream PBuf;
-    PBuf << PIn.rdbuf();
-    Req.ProfileText = PBuf.str();
-  }
+  if (!buildRequest(Opts, Req))
+    return 1;
 
   // One attempt over a fresh connection. Distinguishes transport damage
   // (retryable: the daemon never judged the request) from request-level
@@ -645,9 +558,7 @@ int runClientMode(const ToolOptions &Opts) {
       std::fprintf(stderr, "error: daemon: %s\n", Resp.Error.c_str());
       return Attempt::Fatal;
     }
-    std::fwrite(Resp.StdoutText.data(), 1, Resp.StdoutText.size(), stdout);
-    std::fwrite(Resp.StderrText.data(), 1, Resp.StderrText.size(), stderr);
-    ExitCode = Resp.ExitCode;
+    ExitCode = replay(Resp);
     return Attempt::Done;
   };
 
@@ -732,22 +643,9 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  std::ifstream In(Opts.InputPath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n",
-                 Opts.InputPath.c_str());
+  ServeRequest Req;
+  if (!buildRequest(Opts, Req))
     return 1;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-
-  std::string Error;
-  std::optional<Module> M = parseModule(Buffer.str(), Error);
-  if (!M) {
-    std::fprintf(stderr, "error: %s: %s\n", Opts.InputPath.c_str(),
-                 Error.c_str());
-    return 1;
-  }
 
   ParallelConfig PC;
   PC.Jobs = Opts.Jobs;
@@ -768,20 +666,16 @@ int main(int Argc, char **Argv) {
     Cache = std::make_unique<CompileCache>(CC);
   }
 
-  bool FoundAny = false;
-  for (Function &F : M->Functions) {
-    if (!Opts.OnlyFunction.empty() && F.Name != Opts.OnlyFunction)
-      continue;
-    FoundAny = true;
-    if (int Rc = processFunction(F, Opts, Driver,
-                                 WantMetrics ? &Metrics : nullptr,
-                                 Cache.get()))
-      return Rc;
-  }
-  if (!FoundAny) {
-    std::fprintf(stderr, "error: no function matched\n");
-    return 1;
-  }
+  // The daemon's request path, plus the side channels only a local run
+  // has: its output is the --connect output by construction.
+  ServeResponse Resp = processServeRequest(
+      Req, Driver, Cache.get(), WantMetrics ? &Metrics : nullptr,
+      [&](const Function &F, const Profile &Prof, const Function &Optimized,
+          const PreStats &Stats, ServeResponse &R) {
+        return runLocalSideChannels(Opts, F, Prof, Optimized, Stats, R);
+      });
+  if (int Rc = replay(Resp))
+    return Rc;
 
   CacheCounters CacheStats;
   if (Cache) {
