@@ -30,7 +30,6 @@
 #include "workload/ProgramGenerator.h"
 
 #include <chrono>
-#include <iterator>
 #include <cstdio>
 #include <vector>
 
@@ -40,9 +39,8 @@ using namespace specpre::benchreport;
 int main() {
   printTitle("Compile-time scaling: MC-SSAPRE vs MC-PRE (paper Section "
              "3.3)");
-  std::printf("%8s %8s %8s %12s %12s %12s %12s %12s %10s\n", "blocks",
-              "stmts", "exprs", "MC-SSAPRE", "(ek)", "(pr)", "MC-PRE",
-              "LOSPRE", "max EFG");
+  std::printf("%8s %8s %8s %12s %12s %12s %12s %10s\n", "blocks", "stmts",
+              "exprs", "MC-SSAPRE", "(ek)", "MC-PRE", "LOSPRE", "max EFG");
   for (unsigned Scale = 1; Scale <= 4; ++Scale) {
     GeneratorConfig Cfg;
     Cfg.MaxDepth = 2 + Scale;
@@ -80,35 +78,22 @@ int main() {
 
     PreStats Stats;
     double McCfg;
-    size_t NumExprs = 0;
     // MC-SSAPRE once per max-flow algorithm: the EFGs are identical, so
     // any spread between the columns is solver cost alone.
-    double McSsaBy[std::size(AllMaxFlowAlgorithms)] = {};
-    for (size_t AI = 0; AI != std::size(AllMaxFlowAlgorithms); ++AI) {
+    auto TimeMcSsa = [&](MaxFlowAlgorithm Algo, PreStats *S) {
       PreOptions PO;
       PO.Strategy = PreStrategy::McSsaPre;
       PO.Prof = &NodeOnly;
-      PO.Algo = AllMaxFlowAlgorithms[AI];
+      PO.Algo = Algo;
       PO.Verify = false;
-      if (AllMaxFlowAlgorithms[AI] == MaxFlowAlgorithm::Dinic)
-        PO.Stats = &Stats;
+      PO.Stats = S;
       auto T0 = std::chrono::steady_clock::now();
       (void)compileWithPre(Prepared, PO);
       auto T1 = std::chrono::steady_clock::now();
-      McSsaBy[AI] =
-          std::chrono::duration<double, std::milli>(T1 - T0).count();
-      if (PO.Stats)
-        NumExprs = Stats.records().size();
-    }
-    double McSsa = 0, McSsaEk = 0, McSsaPr = 0;
-    for (size_t AI = 0; AI != std::size(AllMaxFlowAlgorithms); ++AI) {
-      if (AllMaxFlowAlgorithms[AI] == MaxFlowAlgorithm::Dinic)
-        McSsa = McSsaBy[AI];
-      else if (AllMaxFlowAlgorithms[AI] == MaxFlowAlgorithm::EdmondsKarp)
-        McSsaEk = McSsaBy[AI];
-      else if (AllMaxFlowAlgorithms[AI] == MaxFlowAlgorithm::PushRelabel)
-        McSsaPr = McSsaBy[AI];
-    }
+      return std::chrono::duration<double, std::milli>(T1 - T0).count();
+    };
+    double McSsaEk = TimeMcSsa(MaxFlowAlgorithm::EdmondsKarp, nullptr);
+    double McSsa = TimeMcSsa(MaxFlowAlgorithm::Dinic, &Stats);
     {
       auto T0 = std::chrono::steady_clock::now();
       Function F = Prepared;
@@ -128,10 +113,9 @@ int main() {
       auto T1 = std::chrono::steady_clock::now();
       Lospre = std::chrono::duration<double, std::milli>(T1 - T0).count();
     }
-    std::printf("%8u %8u %8zu %10.2fms %10.2fms %10.2fms %10.2fms "
-                "%9.2fms%c %9u\n",
-                Prepared.numBlocks(), Stmts, NumExprs, McSsa, McSsaEk,
-                McSsaPr, McCfg, Lospre, Outcome.degraded() ? '*' : ' ',
+    std::printf("%8u %8u %8zu %10.2fms %10.2fms %10.2fms %9.2fms%c %9u\n",
+                Prepared.numBlocks(), Stmts, Stats.records().size(), McSsa,
+                McSsaEk, McCfg, Lospre, Outcome.degraded() ? '*' : ' ',
                 Stats.largestEfg());
   }
   printRule();

@@ -2,16 +2,15 @@
 //
 // The paper's step 7 cites Chekuri et al.'s experimental study of
 // minimum-cut algorithms and uses an O(V^2 sqrt(E)) algorithm. This
-// binary compares our three max-flow implementations (Edmonds-Karp,
-// Dinic, highest-label push-relabel) and the leg D treewidth DP
-// (mincut/TreewidthCut.h) on four input families:
+// binary compares our two max-flow implementations (Dinic, the solver
+// every default path runs, and Edmonds-Karp, the reference) and the
+// leg D treewidth DP (mincut/TreewidthCut.h) on four input families:
 //
 //   * EFG-shaped networks harvested from compiling generated programs
 //     (small, sparse, a few parallel source edges and infinite sink
 //     edges — the workload MC-SSAPRE actually produces),
 //   * deep chains (the largest-EFG shape: augmenting-path length grows
-//     with the network, so phase-based solvers pay per-phase BFS costs
-//     that push-relabel avoids),
+//     with the network, so both solvers pay a BFS per path or phase),
 //   * dense random networks (the classic stress shape; the treewidth
 //     solver bails out here by design — its width cap refuses them),
 //   * width-4 grids of growing height (leg D's native bounded-treewidth
@@ -88,7 +87,7 @@ FlowNetwork efgShaped(Rng &R, int NumPhis, int NumReals) {
 /// The adversarial largest-EFG shape: a long phi chain with a couple of
 /// real occurrences hanging off each tail segment. Augmenting paths are
 /// as long as the chain, so Edmonds-Karp and Dinic rebuild their BFS
-/// levelings O(depth) times while push-relabel's labels rise once.
+/// levelings O(depth) times.
 FlowNetwork deepChain(Rng &R, int Depth) {
   FlowNetwork Net;
   int S = Net.addNode();
@@ -299,12 +298,12 @@ int runJsonSuite(const std::string &Path, bool Smoke) {
             ",\n     \"algorithms\": {";
     int64_t RefFlow = 0;
     std::vector<int> RefCut;
-    double DinicNs = 0, PrNs = 0;
+    double Ns[std::size(AllMaxFlowAlgorithms)] = {};
     for (size_t AI = 0; AI != std::size(AllMaxFlowAlgorithms); ++AI) {
       MaxFlowAlgorithm Algo = AllMaxFlowAlgorithms[AI];
       int64_t Flow = 0;
-      double Ns = timeCell(C.Net, C.Source, C.Sink, Algo, MinIters,
-                           MinMillis, Flow);
+      Ns[AI] = timeCell(C.Net, C.Source, C.Sink, Algo, MinIters, MinMillis,
+                        Flow);
       // Cut identity check on the flow left by the final solve.
       MinCutResult Cut =
           extractMinCut(C.Net, C.Source, C.Sink, CutPlacement::Earliest);
@@ -320,15 +319,11 @@ int runJsonSuite(const std::string &Path, bool Smoke) {
                      static_cast<long long>(RefFlow), RefCut.size());
         Disagreed = true;
       }
-      if (Algo == MaxFlowAlgorithm::Dinic)
-        DinicNs = Ns;
-      if (Algo == MaxFlowAlgorithm::PushRelabel)
-        PrNs = Ns;
       Json += std::string(AI ? ", " : "") + "\"" +
               maxFlowAlgorithmName(Algo) +
-              "\": {\"ns_per_op\": " + std::to_string(Ns) + "}";
+              "\": {\"ns_per_op\": " + std::to_string(Ns[AI]) + "}";
     }
-    // Fourth solver: the leg D treewidth DP. It refuses networks whose
+    // Third solver: the leg D treewidth DP. It refuses networks whose
     // decomposition exceeds the width cap (dense_random, by design) —
     // recorded as ns_per_op -1 rather than a disagreement. When it does
     // solve, its capacity must match the max-flow value exactly.
@@ -353,27 +348,25 @@ int runJsonSuite(const std::string &Path, bool Smoke) {
           benchmark::DoNotOptimize(
               computeTreewidthMinCut(C.Net, C.Source, C.Sink, 16));
           auto T1 = std::chrono::steady_clock::now();
-          double Ns =
+          double SolveNs =
               std::chrono::duration<double, std::nano>(T1 - T0).count();
-          TotalMs += Ns / 1e6;
+          TotalMs += SolveNs / 1e6;
           ++Iters;
-          if (TwNs < 0 || Ns < TwNs)
-            TwNs = Ns;
+          if (TwNs < 0 || SolveNs < TwNs)
+            TwNs = SolveNs;
           if (Iters > 10000)
             break;
         }
       }
     }
     Json += ", \"treewidth\": {\"ns_per_op\": " + std::to_string(TwNs) + "}";
-    char Speed[64];
-    std::snprintf(Speed, sizeof(Speed), "%.2f",
-                  PrNs > 0 ? DinicNs / PrNs : 0.0);
-    Json += "},\n     \"flow\": " + std::to_string(RefFlow) +
-            ", \"speedup_pr_over_dinic\": " + Speed + "}";
+    Json += "},\n     \"flow\": " + std::to_string(RefFlow) + "}";
     Json += CI + 1 != Cases.size() ? ",\n" : "\n";
-    std::printf("%-12s size %6d: dinic %10.0fns  push-relabel %10.0fns  "
-                "treewidth %10.0fns  (%sx)\n",
-                C.Family, C.Size, DinicNs, PrNs, TwNs, Speed);
+    std::printf("%-12s size %6d:", C.Family, C.Size);
+    for (size_t AI = 0; AI != std::size(AllMaxFlowAlgorithms); ++AI)
+      std::printf("  %s %10.0fns",
+                  maxFlowAlgorithmName(AllMaxFlowAlgorithms[AI]), Ns[AI]);
+    std::printf("  treewidth %10.0fns\n", TwNs);
   }
   Json += "  ]\n}\n";
 
@@ -402,24 +395,13 @@ BENCHMARK_CAPTURE(BM_EfgShaped, dinic, MaxFlowAlgorithm::Dinic)
     ->Arg(8)
     ->Arg(48)
     ->Arg(400);
-BENCHMARK_CAPTURE(BM_EfgShaped, push_relabel, MaxFlowAlgorithm::PushRelabel)
-    ->Arg(2)
-    ->Arg(8)
-    ->Arg(48)
-    ->Arg(400);
 BENCHMARK_CAPTURE(BM_DeepChain, edmonds_karp, MaxFlowAlgorithm::EdmondsKarp)
     ->Arg(256)
     ->Arg(2048);
 BENCHMARK_CAPTURE(BM_DeepChain, dinic, MaxFlowAlgorithm::Dinic)
     ->Arg(256)
     ->Arg(2048);
-BENCHMARK_CAPTURE(BM_DeepChain, push_relabel, MaxFlowAlgorithm::PushRelabel)
-    ->Arg(256)
-    ->Arg(2048);
 BENCHMARK_CAPTURE(BM_Grid, dinic, MaxFlowAlgorithm::Dinic)
-    ->Arg(64)
-    ->Arg(512);
-BENCHMARK_CAPTURE(BM_Grid, push_relabel, MaxFlowAlgorithm::PushRelabel)
     ->Arg(64)
     ->Arg(512);
 BENCHMARK(BM_GridTreewidthCut)->Arg(64)->Arg(512);
@@ -427,9 +409,6 @@ BENCHMARK_CAPTURE(BM_DenseRandom, edmonds_karp, MaxFlowAlgorithm::EdmondsKarp)
     ->Arg(16)
     ->Arg(64);
 BENCHMARK_CAPTURE(BM_DenseRandom, dinic, MaxFlowAlgorithm::Dinic)
-    ->Arg(16)
-    ->Arg(64);
-BENCHMARK_CAPTURE(BM_DenseRandom, push_relabel, MaxFlowAlgorithm::PushRelabel)
     ->Arg(16)
     ->Arg(64);
 BENCHMARK_CAPTURE(BM_CutExtraction, forward_labeling, CutPlacement::Earliest);

@@ -59,7 +59,7 @@ done
 # Serve smoke (docs/SERVING.md): start the daemon (Release and ASan),
 # submit each example through the client mode, require the stdout,
 # stderr and exit code of the direct batch run — for clean compiles and
-# for three error paths — then SIGTERM and require a clean, drained exit
+# for four error paths — then SIGTERM and require a clean, drained exit
 # (status 0).
 echo "==== serve smoke ===="
 same_as_local() {
@@ -91,12 +91,15 @@ for BUILD in build-release build-asan; do
     same_as_local --strategy=mcssapre --train=3,4,64 "$f"
   done
   # Error paths: no training arguments or profile, a malformed profile,
-  # malformed IR.
+  # malformed IR, and an out-of-range flag (rejected before any request
+  # is sent, so it does not count as a served request).
   same_as_local --strategy=mcssapre examples/programs/loop.spre
   same_as_local --strategy=mcssapre --no-emit \
     --profile-in=tests/corpus/malformed/huge-block-id.prof \
     examples/programs/loop.spre
   same_as_local --strategy=none tests/corpus/malformed/truncated.ir
+  same_as_local --strategy=lospre --train=3,4,64 --lospre-max-width=65 \
+    examples/programs/loop.spre
   kill -TERM "$SERVE_PID"
   wait "$SERVE_PID" || { echo "daemon exited nonzero on SIGTERM"; exit 1; }
   grep -q '"requests_received": 7' "$SERVE_DIR/metrics.json" || {

@@ -14,11 +14,10 @@ using namespace specpre;
 
 namespace {
 
-/// Budget probe shared by the algorithms: one augmenting path (or Dinic
-/// blocking-flow push / push-relabel global-relabel round) counts as one
-/// augmentation step. Throws StatusException(BudgetExhausted) when the
-/// installed budget trips; the degradation ladder catches it at the
-/// function boundary.
+/// Budget probe shared by the algorithms: one Edmonds-Karp augmenting
+/// path or one Dinic blocking-flow push counts as one augmentation step.
+/// Throws StatusException(BudgetExhausted) when the installed budget
+/// trips; the degradation ladder catches it at the function boundary.
 void noteAugmentationStep(const char *Where) {
   if (BudgetTracker *B = currentBudget())
     throwIfError(B->noteAugmentation(Where));
@@ -137,8 +136,6 @@ const char *specpre::maxFlowAlgorithmName(MaxFlowAlgorithm Algo) {
     return "edmonds-karp";
   case MaxFlowAlgorithm::Dinic:
     return "dinic";
-  case MaxFlowAlgorithm::PushRelabel:
-    return "push-relabel";
   }
   SPECPRE_UNREACHABLE("bad max-flow algorithm");
 }
@@ -151,10 +148,6 @@ bool specpre::parseMaxFlowAlgorithm(const char *Name,
   }
   if (!std::strcmp(Name, "dinic")) {
     Out = MaxFlowAlgorithm::Dinic;
-    return true;
-  }
-  if (!std::strcmp(Name, "push-relabel") || !std::strcmp(Name, "pr")) {
-    Out = MaxFlowAlgorithm::PushRelabel;
     return true;
   }
   return false;
@@ -170,8 +163,6 @@ int64_t specpre::computeMaxFlow(FlowNetwork &Net, int Source, int Sink,
     return runEdmondsKarp(Net, Source, Sink);
   case MaxFlowAlgorithm::Dinic:
     return Dinic(Net, Source, Sink).run();
-  case MaxFlowAlgorithm::PushRelabel:
-    return runPushRelabel(Net, Source, Sink);
   }
   SPECPRE_UNREACHABLE("bad max-flow algorithm");
 }

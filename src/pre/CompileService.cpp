@@ -80,6 +80,14 @@ bool specpre::parseStrategyFlag(const std::string &Name, PreStrategy &Out) {
   return true;
 }
 
+bool specpre::parseLospreMaxWidth(const std::string &Text, unsigned &Out) {
+  unsigned W;
+  if (!parseU32(Text, W) || W > 64)
+    return false;
+  Out = W;
+  return true;
+}
+
 std::string specpre::encodeServeRequest(const ServeRequest &R) {
   std::string Out = RequestHeader;
   Out += "\n";
@@ -156,10 +164,8 @@ bool specpre::decodeServeRequest(const std::string &Payload,
           !parseU64(Tok[3], Out.Budget.MaxGraphNodes))
         return Bad("bad budget directive");
     } else if (Key == "lospre-max-width") {
-      uint64_t W;
-      if (Tok.size() != 2 || !parseU64(Tok[1], W) || W > 64)
+      if (Tok.size() != 2 || !parseLospreMaxWidth(Tok[1], Out.LospreMaxWidth))
         return Bad("bad lospre-max-width directive");
-      Out.LospreMaxWidth = static_cast<unsigned>(W);
     } else if (Key == "flags") {
       if (Tok.size() != 6 || !parseBool(Tok[1], Out.Emit) ||
           !parseBool(Tok[2], Out.Cleanup) || !parseBool(Tok[3], Out.Gvn) ||

@@ -116,6 +116,11 @@ struct ServeResponse {
 /// the request's strategy directive uses too.
 bool parseStrategyFlag(const std::string &Name, PreStrategy &Out);
 
+/// Parses a leg D treewidth budget in [0, 64], for --lospre-max-width=
+/// and the request's lospre-max-width directive alike, so a local run
+/// and the daemon reject the same values.
+bool parseLospreMaxWidth(const std::string &Text, unsigned &Out);
+
 /// Request payload codec for the 'C' frame. decode rejects unknown
 /// directives, bad integers and missing sections with a diagnostic.
 std::string encodeServeRequest(const ServeRequest &R);

@@ -1,9 +1,9 @@
 //===- tests/mincut_test.cpp - Max-flow / min-cut tests -------------------------===//
 //
-// Most tests run once per max-flow algorithm (Edmonds-Karp, Dinic,
-// push-relabel): the solvers share the network representation and the
-// cut extraction, so every flow-value, separation, tie-break and
-// saturation property must hold identically for each of them.
+// Most tests run once per max-flow algorithm (Edmonds-Karp, Dinic): the
+// solvers share the network representation and the cut extraction, so
+// every flow-value, separation, tie-break and saturation property must
+// hold identically for each of them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +44,6 @@ std::string algoTestName(
     return "EdmondsKarp";
   case MaxFlowAlgorithm::Dinic:
     return "Dinic";
-  case MaxFlowAlgorithm::PushRelabel:
-    return "PushRelabel";
   }
   return "Unknown";
 }

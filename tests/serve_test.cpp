@@ -91,7 +91,7 @@ std::string tempSocketPath(const char *Tag) {
 TEST(ServeProtocol, RequestRoundTripsExactly) {
   ServeRequest R = basicRequest();
   R.Placement = CutPlacement::Earliest;
-  R.Algo = MaxFlowAlgorithm::PushRelabel;
+  R.Algo = MaxFlowAlgorithm::EdmondsKarp;
   R.Objective = CutObjective::speedThenSize();
   R.Budget.DeadlineMillis = 1234;
   R.Budget.MaxGraphNodes = 77;
@@ -153,6 +153,9 @@ TEST(ServeProtocol, MalformedRequestPayloadsAreDiagnosed) {
       {"not-a-header\n", "header"},
       {"specpre-serve-request v1\n", "missing ir"},
       {"specpre-serve-request v1\nstrategy bogus\nir %\n", "strategy"},
+      {"specpre-serve-request v1\nalgo push-relabel\nir %\n", "algo"},
+      {"specpre-serve-request v1\nlospre-max-width 65\nir %\n",
+       "lospre-max-width"},
       {"specpre-serve-request v1\nbudget 1 2\nir %\n", "budget"},
       {"specpre-serve-request v1\nbudget x 2 3\nir %\n", "budget"},
       {"specpre-serve-request v1\ntrain 1 junk\nir %\n", "junk"},

@@ -18,6 +18,7 @@
 
 #include "support/CrashContext.h"
 #include "support/FaultInjector.h"
+#include "support/LineCodec.h"
 #include "support/Status.h"
 #include "workload/FuzzOracles.h"
 #include "workload/Reducer.h"
@@ -43,18 +44,6 @@ struct Options {
   std::vector<std::string> ReplayFiles;
 };
 
-bool parseUint(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  Out = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return true;
-}
-
 bool parseArgs(int Argc, char **Argv, Options &O) {
   for (int I = 1; I != Argc; ++I) {
     std::string A = Argv[I];
@@ -64,15 +53,21 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
         return std::nullopt;
       return A.substr(Prefix.size());
     };
+    // Counts go through the request codec's strict parser: digits only,
+    // no sign, no trailing garbage, no wrap-around.
+    auto BadCount = [&] {
+      std::fprintf(stderr, "specpre-fuzz: bad value in '%s'\n", A.c_str());
+      return false;
+    };
     if (auto V = Value("--cases")) {
-      if (!parseUint(*V, O.Cases))
-        return false;
+      if (!linecodec::parseU64(*V, O.Cases))
+        return BadCount();
     } else if (auto V = Value("--networks")) {
-      if (!parseUint(*V, O.Networks))
-        return false;
+      if (!linecodec::parseU64(*V, O.Networks))
+        return BadCount();
     } else if (auto V = Value("--seed")) {
-      if (!parseUint(*V, O.Seed))
-        return false;
+      if (!linecodec::parseU64(*V, O.Seed))
+        return BadCount();
     } else if (auto V = Value("--corpus-out")) {
       O.CorpusOut = *V;
     } else if (auto V = Value("--replay")) {

@@ -6,8 +6,8 @@
 //
 //     --strategy=<ssapre|ssapresp|mcssapre|lospre|mcpre|lcm|none>
 //                           (default mcssapre)
-//     --lospre-max-width=N  leg D's treewidth budget (default 8); EFGs
-//                           wider than this bail out to MC-SSAPRE
+//     --lospre-max-width=N  leg D's treewidth budget (0-64, default 8);
+//                           EFGs wider than this bail out to MC-SSAPRE
 //     --train=<a,b,...>     arguments for the profile-collection run
 //     --run=<a,b,...>       interpret the result and report costs
 //     --placement=<latest|earliest>   min-cut tie-breaking
@@ -78,9 +78,11 @@
 #include "support/CompileCache.h"
 #include "support/CrashContext.h"
 #include "support/FaultInjector.h"
+#include "support/LineCodec.h"
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -132,16 +134,17 @@ struct ToolOptions {
   bool RetryFlagsGiven = false; ///< any of --timeout-ms/--retries/--retry-seed
 };
 
+/// Parses a --train/--run list: comma-separated decimals, each checked
+/// by the request codec's strict parser; "" is the empty list.
 std::optional<std::vector<int64_t>> parseIntList(const std::string &S) {
   std::vector<int64_t> Out;
-  std::stringstream In(S);
-  std::string Item;
-  while (std::getline(In, Item, ',')) {
-    try {
-      Out.push_back(std::stoll(Item));
-    } catch (...) {
+  for (size_t Pos = 0; !S.empty() && Pos <= S.size();) {
+    size_t Comma = std::min(S.find(',', Pos), S.size());
+    int64_t V;
+    if (!linecodec::parseI64(S.substr(Pos, Comma - Pos), V))
       return std::nullopt;
-    }
+    Out.push_back(V);
+    Pos = Comma + 1;
   }
   return Out;
 }
@@ -150,7 +153,7 @@ int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [--strategy=S] [--train=a,b,...] [--run=a,b,...]\n"
                "          [--placement=latest|earliest] "
-               "[--mincut-algo=dinic|ek|pr]\n"
+               "[--mincut-algo=dinic|ek]\n"
                "          [--lospre-max-width=N]\n"
                "          [--cleanup] [--stats]\n"
                "          [--objective=speed|size|speed-then-size] [--no-emit]\n"
@@ -175,6 +178,12 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       if (A.rfind(Prefix, 0) == 0)
         return A.substr(N);
       return std::nullopt;
+    };
+    // Numeric values go through the request codec's strict parsers:
+    // digits only, no sign, no trailing garbage, no wrap-around.
+    auto Bad = [&](const char *Flag, const std::string &V) {
+      std::fprintf(stderr, "error: bad %s value '%s'\n", Flag, V.c_str());
+      return false;
     };
     if (auto V = Value("--strategy=")) {
       if (!parseStrategyFlag(*V, Opts.Strategy)) {
@@ -205,8 +214,8 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
     } else if (auto V = Value("--mincut-algo=")) {
       if (!parseMaxFlowAlgorithm(V->c_str(), Opts.Algo)) {
         std::fprintf(stderr,
-                     "error: bad --mincut-algo (want dinic, "
-                     "edmonds-karp/ek or push-relabel/pr)\n");
+                     "error: bad --mincut-algo (want dinic or "
+                     "edmonds-karp/ek)\n");
         return false;
       }
     } else if (auto V = Value("--objective=")) {
@@ -234,71 +243,34 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       Opts.ConnectPath = *V;
     } else if (auto V = Value("--timeout-ms=")) {
       Opts.RetryFlagsGiven = true;
-      try {
-        Opts.TimeoutMs = std::stoi(*V);
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --timeout-ms value '%s'\n",
-                     V->c_str());
-        return false;
-      }
+      unsigned Ms;
+      if (!linecodec::parseU32(*V, Ms) || Ms > INT_MAX)
+        return Bad("--timeout-ms", *V);
+      Opts.TimeoutMs = static_cast<int>(Ms);
     } else if (auto V = Value("--retries=")) {
       Opts.RetryFlagsGiven = true;
-      try {
-        Opts.Retries = static_cast<unsigned>(std::stoul(*V));
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --retries value '%s'\n",
-                     V->c_str());
-        return false;
-      }
+      if (!linecodec::parseU32(*V, Opts.Retries))
+        return Bad("--retries", *V);
     } else if (auto V = Value("--retry-seed=")) {
       Opts.RetryFlagsGiven = true;
-      try {
-        Opts.RetrySeed = std::stoull(*V);
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --retry-seed value '%s'\n",
-                     V->c_str());
-        return false;
-      }
+      if (!linecodec::parseU64(*V, Opts.RetrySeed))
+        return Bad("--retry-seed", *V);
     } else if (auto V = Value("--jobs=")) {
       Opts.JobsGiven = true;
-      try {
-        Opts.Jobs = static_cast<unsigned>(std::stoul(*V));
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --jobs value '%s'\n", V->c_str());
-        return false;
-      }
+      if (!linecodec::parseU32(*V, Opts.Jobs))
+        return Bad("--jobs", *V);
     } else if (auto V = Value("--budget-ms=")) {
-      try {
-        Opts.Budget.DeadlineMillis = std::stoull(*V);
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --budget-ms value '%s'\n",
-                     V->c_str());
-        return false;
-      }
+      if (!linecodec::parseU64(*V, Opts.Budget.DeadlineMillis))
+        return Bad("--budget-ms", *V);
     } else if (auto V = Value("--max-augmentations=")) {
-      try {
-        Opts.Budget.MaxFlowAugmentations = std::stoull(*V);
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --max-augmentations value '%s'\n",
-                     V->c_str());
-        return false;
-      }
+      if (!linecodec::parseU64(*V, Opts.Budget.MaxFlowAugmentations))
+        return Bad("--max-augmentations", *V);
     } else if (auto V = Value("--max-graph-nodes=")) {
-      try {
-        Opts.Budget.MaxGraphNodes = std::stoull(*V);
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --max-graph-nodes value '%s'\n",
-                     V->c_str());
-        return false;
-      }
+      if (!linecodec::parseU64(*V, Opts.Budget.MaxGraphNodes))
+        return Bad("--max-graph-nodes", *V);
     } else if (auto V = Value("--lospre-max-width=")) {
-      try {
-        Opts.LospreMaxWidth = static_cast<unsigned>(std::stoul(*V));
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --lospre-max-width value '%s'\n",
-                     V->c_str());
-        return false;
-      }
+      if (!parseLospreMaxWidth(*V, Opts.LospreMaxWidth))
+        return Bad("--lospre-max-width", *V);
     } else if (auto V = Value("--inject-faults=")) {
       Opts.InjectFaults = *V;
     } else if (auto V = Value("--cache-dir=")) {
