@@ -19,16 +19,18 @@
 // parallel speedup; the numbers still exercise the full contended path
 // (accept loop, per-connection readers, request queue, shared cache).
 //
+// The JSON carries the daemon's metrics document (the one
+// --metrics-out writes) under "metrics".
+//
 // --chaos switches the daemon to --isolate=process with a real disk
 // cache tier, arms torn-frame, worker-kill and all five disk fault
 // sites (short writes, ENOSPC, EIO, bit rot, rename failures) at 5%,
 // and drives retry-aware clients: the reported req/s is degraded-mode
-// throughput, and the JSON gains a "chaos" section (shed rate, retries,
-// worker crashes, quarantined, corrupt entries dropped, disk I/O
-// errors, breaker opens) plus a post-storm scrub pass whose
-// scanned/quarantined counts land in the "cache" section. The
-// warm-hit-rate gate is skipped — under injected disk faults a warm
-// miss is the contract working, not a bug.
+// throughput, and the JSON gains a "chaos" section with what only the
+// clients observe (shed rate, degraded and quarantined answers). A
+// post-storm scrub pass's scanned/quarantined counts land in the
+// document's "cache" group. The warm-hit-rate gate is skipped — under
+// injected disk faults a warm miss is the contract working, not a bug.
 //
 //===----------------------------------------------------------------------===//
 
@@ -271,7 +273,7 @@ int main(int argc, char **argv) {
     ChaosCacheDir = std::filesystem::temp_directory_path() /
                     ("specpre-serve-bench-cache-" + std::to_string(getpid()));
     std::filesystem::remove_all(ChaosCacheDir);
-    Cfg.Service.CacheDir = ChaosCacheDir.string();
+    Cfg.Service.Cache.DiskDir = ChaosCacheDir.string();
     Status St = configureFaultInjection(
         "torn-frame:0.05:31,worker-kill:0.05:32,"
         "disk-short-write:0.05:33,disk-enospc:0.05:34,disk-eio:0.05:35,"
@@ -377,28 +379,16 @@ int main(int argc, char **argv) {
     std::snprintf(Buf, sizeof(Buf), ",\n  \"warm_hit_rate\": %.4f",
                   WarmHitRate);
     Json += Buf;
-    Json += ",\n  \"cache\": " + Metrics.cacheToJson();
-    Json += ",\n  \"service\": " + Metrics.serviceToJson();
+    Json += ",\n  \"metrics\": " + Metrics.toJson(Server.service().jobs());
     if (Chaos) {
-      char Big[512];
-      std::snprintf(Big, sizeof(Big),
+      // What only the clients saw; the daemon's counters are in "metrics".
+      std::snprintf(Buf, sizeof(Buf),
                     ",\n  \"chaos\": {\"shed_rate\": %.4f, "
-                    "\"degraded\": %llu, \"quarantined\": %llu, "
-                    "\"retries\": %llu, \"worker_crashes\": %llu, "
-                    "\"corrupt_dropped\": %llu, \"disk_io_errors\": %llu, "
-                    "\"breaker_opens\": %llu, \"scrub_scanned\": %llu, "
-                    "\"scrub_quarantined\": %llu}",
+                    "\"degraded\": %llu, \"quarantined\": %llu}",
                     ShedRate,
                     (unsigned long long)(Cold.Degraded + Warm.Degraded),
-                    (unsigned long long)(Cold.Quarantined + Warm.Quarantined),
-                    (unsigned long long)Metrics.service().Retries,
-                    (unsigned long long)Metrics.service().WorkerCrashes,
-                    (unsigned long long)Metrics.cache().CorruptDropped,
-                    (unsigned long long)Metrics.cache().DiskIoErrors,
-                    (unsigned long long)Metrics.cache().BreakerOpens,
-                    (unsigned long long)Metrics.cache().ScrubScanned,
-                    (unsigned long long)Metrics.cache().ScrubQuarantined);
-      Json += Big;
+                    (unsigned long long)(Cold.Quarantined + Warm.Quarantined));
+      Json += Buf;
     }
     Json += "\n}\n";
     std::FILE *Out = std::fopen(JsonOut.c_str(), "w");

@@ -147,6 +147,8 @@ grep -q '"worker_crashes"' "$CHAOS_DIR/metrics.json" || {
   echo "daemon metrics missing robustness counters"; exit 1; }
 grep -q '"retries"' "$CHAOS_DIR/metrics.json" || {
   echo "daemon metrics missing retry counter"; exit 1; }
+grep -q '"functions_compiled": [1-9]' "$CHAOS_DIR/metrics.json" || {
+  echo "daemon metrics missing the sandboxed compiles"; exit 1; }
 rm -rf "$CHAOS_DIR"
 
 # Disk-chaos smoke (docs/CACHING.md "Durability and self-healing"): an
@@ -195,5 +197,12 @@ rm -rf "$DCHAOS_DIR"
 # (exit 1 inside the bench on any hang or non-degraded divergence).
 ./build-release/bench/serve_throughput --smoke --chaos --clients=4 \
   --json-out="$CACHE_DIR/serve_chaos.json"
+
+# The end-to-end benchmark's self-test (perfbench/, BENCHMARK.json): it
+# builds perfbench and specpre-serve from this tree at tiny size, runs
+# every workload traced and untraced, and requires a corrupted output
+# to fail exactly one request.
+echo "==== perfbench self-test ===="
+python3 perfbench/selftest.py
 
 echo "==== all configurations passed ===="

@@ -17,6 +17,10 @@
 // *and* by the key (compileCacheKey folds in a format tag), so a format
 // change makes old entries both undecodable and unaddressable.
 //
+// One field table per record line (OutcomeFields, ExprStatsFields)
+// drives both the encoder and the decoder, so a field cannot be written
+// and forgotten on the way back. Integers are decimal, bools "0"/"1".
+//
 //===----------------------------------------------------------------------===//
 
 #include "pre/CachedCompile.h"
@@ -28,7 +32,7 @@
 #include "support/LineCodec.h"
 #include "support/PassTimer.h"
 
-#include <cstdio>
+#include <variant>
 
 using namespace specpre;
 // The checked token codec: strict decimal parsers (no sign/whitespace
@@ -38,47 +42,73 @@ using namespace specpre::linecodec;
 
 namespace {
 
-void appendRecordLine(std::string &Out, const ExprStatsRecord &R) {
-  Out += "record ";
-  Out += esc(R.Expr);
-  Out += ' ';
-  Out += esc(R.FunctionName);
-  char Buf[512];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      " %u %u %u %u %d %u %u %lld %u %u %u %u %u %u %llu %llu %llu %lld "
-      "%lld %lld %d %d %u %llu\n",
-      R.FuncIndex, R.ExprIndex, R.FrgPhis, R.FrgReals, R.EfgEmpty ? 1 : 0,
-      R.EfgNodes, R.EfgEdges, static_cast<long long>(R.CutWeight),
-      R.NumInsertions, R.NumReloads, R.NumSaves, R.NumTempPhis, R.McPreNodes,
-      R.McPreEdges, static_cast<unsigned long long>(R.ReloadedFreq),
-      static_cast<unsigned long long>(R.InsertedFreq),
-      static_cast<unsigned long long>(R.SprReloadedFreq),
-      static_cast<long long>(R.SprWeight),
-      static_cast<long long>(R.InsertedWeight),
-      static_cast<long long>(R.InPlaceWeight), R.Saturated ? 1 : 0,
-      R.Speculated ? 1 : 0, R.LospreWidth,
-      static_cast<unsigned long long>(R.LospreDpEntries));
-  Out += Buf;
+/// One field of a payload record line, by member.
+template <class Record>
+using RecordField =
+    std::variant<std::string Record::*, unsigned Record::*, bool Record::*,
+                 int64_t Record::*, uint64_t Record::*>;
+
+/// The `outcome` line: CompileOutcomeRecord in declaration order.
+const RecordField<CompileOutcomeRecord> OutcomeFields[] = {
+    &CompileOutcomeRecord::FunctionName, &CompileOutcomeRecord::FuncIndex,
+    &CompileOutcomeRecord::Requested,    &CompileOutcomeRecord::Used,
+    &CompileOutcomeRecord::Retries,      &CompileOutcomeRecord::Cause,
+    &CompileOutcomeRecord::Message,
+};
+
+/// A `record` line: ExprStatsRecord in declaration order.
+const RecordField<ExprStatsRecord> ExprStatsFields[] = {
+    &ExprStatsRecord::Expr,            &ExprStatsRecord::FunctionName,
+    &ExprStatsRecord::FuncIndex,       &ExprStatsRecord::ExprIndex,
+    &ExprStatsRecord::FrgPhis,         &ExprStatsRecord::FrgReals,
+    &ExprStatsRecord::EfgEmpty,        &ExprStatsRecord::EfgNodes,
+    &ExprStatsRecord::EfgEdges,        &ExprStatsRecord::CutWeight,
+    &ExprStatsRecord::NumInsertions,   &ExprStatsRecord::NumReloads,
+    &ExprStatsRecord::NumSaves,        &ExprStatsRecord::NumTempPhis,
+    &ExprStatsRecord::McPreNodes,      &ExprStatsRecord::McPreEdges,
+    &ExprStatsRecord::ReloadedFreq,    &ExprStatsRecord::InsertedFreq,
+    &ExprStatsRecord::SprReloadedFreq, &ExprStatsRecord::SprWeight,
+    &ExprStatsRecord::InsertedWeight,  &ExprStatsRecord::InPlaceWeight,
+    &ExprStatsRecord::Saturated,       &ExprStatsRecord::Speculated,
+    &ExprStatsRecord::LospreWidth,     &ExprStatsRecord::LospreDpEntries,
+};
+
+void appendToken(std::string &Out, const std::string &V) { Out += esc(V); }
+void appendToken(std::string &Out, bool V) { Out += V ? '1' : '0'; }
+template <class Int> void appendToken(std::string &Out, Int V) {
+  Out += std::to_string(V);
 }
 
-bool parseRecordLine(const std::vector<std::string> &T, ExprStatsRecord &R) {
-  if (T.size() != 27 || T[0] != "record")
+bool parseToken(const std::string &T, std::string &V) { return unesc(T, V); }
+bool parseToken(const std::string &T, unsigned &V) { return parseU32(T, V); }
+bool parseToken(const std::string &T, bool &V) { return parseBool(T, V); }
+bool parseToken(const std::string &T, int64_t &V) { return parseI64(T, V); }
+bool parseToken(const std::string &T, uint64_t &V) { return parseU64(T, V); }
+
+/// Appends `<Tag> <field>...` and a newline.
+template <class Record, size_t N>
+void appendLine(std::string &Out, const char *Tag,
+                const RecordField<Record> (&Fields)[N], const Record &R) {
+  Out += Tag;
+  for (const RecordField<Record> &F : Fields) {
+    Out += ' ';
+    std::visit([&](auto Member) { appendToken(Out, R.*Member); }, F);
+  }
+  Out += '\n';
+}
+
+/// Inverse of appendLine over a split line: exactly one token per field.
+template <class Record, size_t N>
+bool parseLine(const std::vector<std::string> &T, const char *Tag,
+               const RecordField<Record> (&Fields)[N], Record &R) {
+  if (T.size() != N + 1 || T[0] != Tag)
     return false;
-  return unesc(T[1], R.Expr) && unesc(T[2], R.FunctionName) &&
-         parseU32(T[3], R.FuncIndex) && parseU32(T[4], R.ExprIndex) &&
-         parseU32(T[5], R.FrgPhis) && parseU32(T[6], R.FrgReals) &&
-         parseBool(T[7], R.EfgEmpty) && parseU32(T[8], R.EfgNodes) &&
-         parseU32(T[9], R.EfgEdges) && parseI64(T[10], R.CutWeight) &&
-         parseU32(T[11], R.NumInsertions) && parseU32(T[12], R.NumReloads) &&
-         parseU32(T[13], R.NumSaves) && parseU32(T[14], R.NumTempPhis) &&
-         parseU32(T[15], R.McPreNodes) && parseU32(T[16], R.McPreEdges) &&
-         parseU64(T[17], R.ReloadedFreq) && parseU64(T[18], R.InsertedFreq) &&
-         parseU64(T[19], R.SprReloadedFreq) &&
-         parseI64(T[20], R.SprWeight) && parseI64(T[21], R.InsertedWeight) &&
-         parseI64(T[22], R.InPlaceWeight) && parseBool(T[23], R.Saturated) &&
-         parseBool(T[24], R.Speculated) && parseU32(T[25], R.LospreWidth) &&
-         parseU64(T[26], R.LospreDpEntries);
+  for (size_t I = 0; I != N; ++I)
+    if (!std::visit(
+            [&](auto Member) { return parseToken(T[I + 1], R.*Member); },
+            Fields[I]))
+      return false;
+  return true;
 }
 
 } // namespace
@@ -152,25 +182,10 @@ specpre::encodeCachePayload(const Function &Optimized,
   std::string Out = "specpre-cache v2\n";
   Out += Optimized.IsSSA ? "ssa 1\n" : "ssa 0\n";
 
-  Out += "outcome ";
-  Out += esc(Outcome.FunctionName);
-  Out += ' ';
-  Out += std::to_string(Outcome.FuncIndex);
-  Out += ' ';
-  Out += esc(Outcome.Requested);
-  Out += ' ';
-  Out += esc(Outcome.Used);
-  Out += ' ';
-  Out += std::to_string(Outcome.Retries);
-  Out += ' ';
-  Out += esc(Outcome.Cause);
-  Out += ' ';
-  Out += esc(Outcome.Message);
-  Out += '\n';
-
+  appendLine(Out, "outcome", OutcomeFields, Outcome);
   Out += "records " + std::to_string(Records.size()) + "\n";
   for (const ExprStatsRecord &R : Records)
-    appendRecordLine(Out, R);
+    appendLine(Out, "record", ExprStatsFields, R);
 
   std::string Ir = printFunction(Optimized);
   Out += "ir " + std::to_string(Ir.size()) + "\n";
@@ -198,11 +213,7 @@ bool specpre::decodeCachePayload(const std::string &Payload,
     return false;
   T = splitTokens(Line);
   CompileOutcomeRecord Outcome;
-  if (T.size() != 8 || T[0] != "outcome" ||
-      !unesc(T[1], Outcome.FunctionName) ||
-      !parseU32(T[2], Outcome.FuncIndex) || !unesc(T[3], Outcome.Requested) ||
-      !unesc(T[4], Outcome.Used) || !parseU32(T[5], Outcome.Retries) ||
-      !unesc(T[6], Outcome.Cause) || !unesc(T[7], Outcome.Message))
+  if (!parseLine(T, "outcome", OutcomeFields, Outcome))
     return false;
 
   if (!nextLine(Payload, Pos, Line))
@@ -218,7 +229,7 @@ bool specpre::decodeCachePayload(const std::string &Payload,
     if (!nextLine(Payload, Pos, Line))
       return false;
     ExprStatsRecord R;
-    if (!parseRecordLine(splitTokens(Line), R))
+    if (!parseLine(splitTokens(Line), "record", ExprStatsFields, R))
       return false;
     Records.push_back(std::move(R));
   }

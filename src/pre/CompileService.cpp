@@ -409,25 +409,6 @@ ServeResponse specpre::processServeRequest(const ServeRequest &R,
 // CompileService: the request queue
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// The cache a service with \p Cfg opens: the daemon's own (memory and
-/// disk tier) and each sandbox worker's (the shared disk tier).
-std::unique_ptr<CompileCache>
-openServiceCache(const CompileService::Config &Cfg) {
-  CompileCache::Config CC;
-  CC.DiskDir = Cfg.CacheDir;
-  CC.MaxEntries = Cfg.CacheMaxEntries;
-  CC.MaxDiskBytes = Cfg.CacheMaxDiskBytes;
-  CC.Durable = Cfg.CacheDurable;
-  CC.BreakerThreshold = Cfg.CacheBreakerThreshold;
-  CC.BreakerCooldownMs = Cfg.CacheBreakerCooldownMs;
-  CC.Mode = Cfg.Mode;
-  return std::make_unique<CompileCache>(CC);
-}
-
-} // namespace
-
 CompileService::CompileService(const Config &C)
     : Cfg(C), Driver([&] {
         ParallelConfig PC;
@@ -436,12 +417,12 @@ CompileService::CompileService(const Config &C)
       }()) {
   if (Cfg.RequestWorkers == 0)
     Cfg.RequestWorkers = 1;
-  if (Cfg.Mode != CacheMode::Off)
-    Cache = openServiceCache(Cfg);
+  if (Cfg.Cache.Mode != CacheMode::Off)
+    Cache = std::make_unique<CompileCache>(Cfg.Cache);
   Workers.reserve(Cfg.RequestWorkers);
   for (unsigned I = 0; I != Cfg.RequestWorkers; ++I)
     Workers.emplace_back([this] { workerLoop(); });
-  if (Cache && !Cfg.CacheDir.empty() && Cfg.CacheScrubIntervalMs) {
+  if (Cache && !Cfg.Cache.DiskDir.empty() && Cfg.CacheScrubIntervalMs) {
     // Background scrubber: wakes every interval, validates the disk
     // tier's checksums at a bounded byte rate, quarantines corruption.
     Scrubber = std::thread([this] {
@@ -533,7 +514,8 @@ uint64_t requestQuarantineKey(const std::string &Encoded) {
 }
 
 /// Child side of --isolate=process: serve exactly one request over
-/// \p Fd, then _exit. Forked from a multithreaded supervisor, so only
+/// \p Fd, answering with its metrics shard ('M') and then its response
+/// ('R'), then _exit. Forked from a multithreaded supervisor, so only
 /// this thread exists here: everything below builds fresh objects (a
 /// Jobs=1 driver spawns no pool threads; the cache is a new instance
 /// over the shared *disk* tier, whose multi-process safety serve_test
@@ -568,6 +550,7 @@ uint64_t requestQuarantineKey(const std::string &Encoded) {
   ServeRequest Req;
   std::string Error;
   ServeResponse Resp;
+  PipelineMetrics Shard;
   if (!decodeServeRequest(F.Payload, Req, Error)) {
     Resp.Ok = false;
     Resp.Error = "worker decode: " + Error;
@@ -577,11 +560,15 @@ uint64_t requestQuarantineKey(const std::string &Encoded) {
     PC.Jobs = 1; // post-fork: strictly single-threaded
     ParallelPreDriver Driver(PC);
     std::unique_ptr<CompileCache> Cache;
-    if (Cfg.Mode != CacheMode::Off && !Cfg.CacheDir.empty())
-      Cache = openServiceCache(Cfg);
-    Resp = processServeRequest(Req, Driver, Cache.get(), nullptr);
+    if (Cfg.Cache.Mode != CacheMode::Off && !Cfg.Cache.DiskDir.empty())
+      Cache = std::make_unique<CompileCache>(Cfg.Cache);
+    Resp = processServeRequest(Req, Driver, Cache.get(), &Shard);
+    // The cache is this request's alone, so its counters are the shard's.
+    if (Cache)
+      Shard.cache() = Cache->counters();
   }
-  (void)writeFrame(Conn, 'R', encodeServeResponse(Resp), 60000);
+  if (writeFrame(Conn, 'M', Shard.encode(), 60000))
+    (void)writeFrame(Conn, 'R', encodeServeResponse(Resp), 60000);
   Conn.close();
   ::_exit(0);
 }
@@ -650,6 +637,7 @@ ServeResponse CompileService::superviseRequest(const ServeRequest &R,
     Socket Conn(Fds[0]);
 
     ServeResponse Resp;
+    PipelineMetrics WorkerShard;
     bool Dead = false, DeadlineHit = false;
     int WriteBudget = static_cast<int>(std::min<uint64_t>(DeadlineMs, 60000));
     if (!writeFrame(Conn, InjectCrash ? 'X' : 'C', Encoded, WriteBudget)) {
@@ -657,20 +645,21 @@ ServeResponse CompileService::superviseRequest(const ServeRequest &R,
     } else {
       if (InjectKill)
         ::kill(Child, SIGKILL);
-      Frame F;
-      bool PeerClosed = false;
-      Status Rd = readFrame(Conn, F, PeerClosed,
-                            static_cast<int>(DeadlineMs));
-      if (!Rd) {
-        Dead = true;
-        DeadlineHit = Rd.code() == ErrorCode::ResourceLimit;
-      } else if (PeerClosed || F.Type != 'R') {
-        Dead = true;
-      } else {
-        std::string Error;
-        if (!decodeServeResponse(F.Payload, Resp, Error))
-          Dead = true;
-      }
+      // A worker that dies, overruns, or sends a torn or undecodable
+      // frame in place of its 'M' shard or its 'R' answer is dead.
+      auto Receive = [&](char Type, Frame &F) {
+        bool PeerClosed = false;
+        Status Rd = readFrame(Conn, F, PeerClosed,
+                              static_cast<int>(DeadlineMs));
+        DeadlineHit = !Rd && Rd.code() == ErrorCode::ResourceLimit;
+        return Rd && !PeerClosed && F.Type == Type;
+      };
+      Frame ShardFrame, RespFrame;
+      std::string Error;
+      Dead = !Receive('M', ShardFrame) ||
+             !PipelineMetrics::decode(ShardFrame.Payload, WorkerShard) ||
+             !Receive('R', RespFrame) ||
+             !decodeServeResponse(RespFrame.Payload, Resp, Error);
     }
     Conn.close();
     if (DeadlineHit)
@@ -681,8 +670,12 @@ ServeResponse CompileService::superviseRequest(const ServeRequest &R,
       W = ::waitpid(Child, &WStatus, 0);
     } while (W < 0 && errno == EINTR);
     if (!Dead && W == Child && WIFEXITED(WStatus) &&
-        WEXITSTATUS(WStatus) == 0)
+        WEXITSTATUS(WStatus) == 0) {
+      // Only the answering worker's counts are kept: a dead or retried
+      // worker's partial shard is dropped with it.
+      Shard.merge(WorkerShard);
       return Resp;
+    }
 
     ++Deaths;
     if (DeadlineHit)
@@ -794,8 +787,13 @@ void CompileService::shutdown() {
 PipelineMetrics CompileService::metricsSnapshot() const {
   std::lock_guard<std::mutex> Lock(Mu);
   PipelineMetrics Out = Metrics;
-  if (Cache)
-    Out.cache() = Cache->counters();
+  if (Cache) {
+    // Merge rather than assign: the shards of sandbox workers carry
+    // their own caches' counters (in-process shards carry none).
+    PipelineMetrics Daemon;
+    Daemon.cache() = Cache->counters();
+    Out.merge(Daemon);
+  }
   return Out;
 }
 
@@ -841,9 +839,7 @@ void ServeServer::acceptLoop() {
 }
 
 std::string ServeServer::statsJson() const {
-  PipelineMetrics M = Service.metricsSnapshot();
-  return "{\"cache\": " + M.cacheToJson() +
-         ",\n\"service\": " + M.serviceToJson() + "}\n";
+  return Service.metricsSnapshot().toJson(Service.jobs()) + "\n";
 }
 
 void ServeServer::handleConnection(Socket Conn) {

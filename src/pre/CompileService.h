@@ -173,24 +173,15 @@ public:
     unsigned Jobs = 1;
     /// Concurrent requests in execution; queue beyond that.
     unsigned RequestWorkers = 2;
-    /// Shared cache tier: directory (empty = memory-only), capacities.
-    std::string CacheDir;
-    uint64_t CacheMaxEntries = 4096;
-    uint64_t CacheMaxDiskBytes = 0;
-    /// Durable disk publishes: fsync entry + directory before rename
-    /// (docs/CACHING.md "Durability and self-healing").
-    bool CacheDurable = false;
-    /// Disk-tier circuit breaker: consecutive failures that open it
-    /// (0 = disabled) and the cooldown before half-open probes.
-    uint64_t CacheBreakerThreshold = 8;
-    uint64_t CacheBreakerCooldownMs = 2000;
+    /// The cache shared by all requests (Mode Off = none). Each sandbox
+    /// worker opens the same config over the shared disk tier.
+    CompileCache::Config Cache;
     /// Background scrubber cadence: every N ms the scrubber thread
     /// walks the disk tier validating checksums and quarantining
     /// corrupt entries. 0 = no scrubber thread.
     uint64_t CacheScrubIntervalMs = 0;
     /// Byte-rate limit for each scrub pass (0 = unthrottled).
     uint64_t CacheScrubBytesPerSec = 4u << 20;
-    CacheMode Mode = CacheMode::On;
     /// Crash containment (docs/ROBUSTNESS.md).
     IsolationMode Isolation = IsolationMode::InProcess;
     /// Hard per-request wall-clock deadline, enforced daemon-side. In
@@ -233,8 +224,9 @@ public:
   /// request a client sent, not just the well-formed ones.
   void noteProtocolFailure();
 
-  /// Snapshot of the merged pipeline metrics (steps, robustness, cache,
-  /// service counters) across all requests so far.
+  /// Snapshot of the merged pipeline metrics across all requests so far:
+  /// the shards of finished requests (a sandbox worker's included) plus
+  /// the service cache's counters.
   PipelineMetrics metricsSnapshot() const;
 
   /// The cache shared by all requests; null when Mode is Off.

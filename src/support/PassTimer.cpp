@@ -3,9 +3,11 @@
 #include "support/PassTimer.h"
 
 #include "support/Diagnostics.h"
+#include "support/LineCodec.h"
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 using namespace specpre;
 
@@ -48,54 +50,131 @@ uint64_t PipelineMetrics::totalNanos() const {
   return Total;
 }
 
-void PipelineMetrics::merge(const PipelineMetrics &Other) {
-  for (unsigned I = 0; I != NumPipelineSteps; ++I) {
-    Steps[I].Invocations += Other.Steps[I].Invocations;
-    Steps[I].Nanos += Other.Steps[I].Nanos;
-    Steps[I].ProblemSize += Other.Steps[I].ProblemSize;
+namespace {
+
+/// How shards combine one counter.
+enum class Fold { Sum, Max };
+
+/// One row of a field table: a counter's JSON key, the member holding
+/// it, its fold, and whether it holds nanoseconds exported as millis.
+template <class Record> struct Field {
+  const char *Key;
+  uint64_t Record::*Member;
+  Fold How = Fold::Sum;
+  bool NanosAsMillis = false;
+};
+
+// The tables, in export order.
+const Field<StepMetrics> StepFields[] = {
+    {"invocations", &StepMetrics::Invocations},
+    {"millis", &StepMetrics::Nanos, Fold::Sum, true},
+    {"problem_size", &StepMetrics::ProblemSize},
+};
+
+const Field<RobustnessCounters> RobustnessFields[] = {
+    {"functions_compiled", &RobustnessCounters::FunctionsCompiled},
+    {"functions_degraded", &RobustnessCounters::FunctionsDegraded},
+    {"ladder_retries", &RobustnessCounters::LadderRetries},
+    {"worker_failures", &RobustnessCounters::WorkerFailures},
+};
+
+const Field<ArenaCounters> ArenaFields[] = {
+    {"network_builds", &ArenaCounters::NetworkBuilds},
+    {"peak_bytes", &ArenaCounters::PeakBytes, Fold::Max},
+    {"chunk_allocations", &ArenaCounters::ChunkAllocations, Fold::Max},
+};
+
+const Field<LospreCounters> LospreFields[] = {
+    {"solved", &LospreCounters::Solved},
+    {"bailouts", &LospreCounters::Bailouts},
+    {"width_peak", &LospreCounters::WidthPeak, Fold::Max},
+    {"dp_entries", &LospreCounters::DpEntries},
+};
+
+const Field<CacheCounters> CacheFields[] = {
+    {"hits", &CacheCounters::Hits},
+    {"misses", &CacheCounters::Misses},
+    {"stores", &CacheCounters::Stores},
+    {"evictions", &CacheCounters::Evictions},
+    {"disk_hits", &CacheCounters::DiskHits},
+    {"disk_writes", &CacheCounters::DiskWrites},
+    {"disk_evictions", &CacheCounters::DiskEvictions},
+    {"verify_mismatches", &CacheCounters::VerifyMismatches},
+    {"corrupt_dropped", &CacheCounters::CorruptDropped},
+    {"disk_io_errors", &CacheCounters::DiskIoErrors},
+    {"breaker_opens", &CacheCounters::BreakerOpens},
+    {"breaker_short_circuits", &CacheCounters::BreakerShortCircuits},
+    // A gauge, not an event count: keep the most-degraded observed state.
+    {"breaker_state", &CacheCounters::BreakerState, Fold::Max},
+    {"scrub_scanned", &CacheCounters::ScrubScanned},
+    {"scrub_quarantined", &CacheCounters::ScrubQuarantined},
+};
+
+const Field<ServiceCounters> ServiceFields[] = {
+    {"requests_received", &ServiceCounters::RequestsReceived},
+    {"requests_succeeded", &ServiceCounters::RequestsSucceeded},
+    {"requests_failed", &ServiceCounters::RequestsFailed},
+    {"requests_degraded", &ServiceCounters::RequestsDegraded},
+    {"queue_depth_peak", &ServiceCounters::QueueDepthPeak, Fold::Max},
+    {"queue_wait_millis", &ServiceCounters::QueueWaitNanos, Fold::Sum, true},
+    {"compile_millis", &ServiceCounters::CompileNanos, Fold::Sum, true},
+    {"worker_crashes", &ServiceCounters::WorkerCrashes},
+    {"deadline_kills", &ServiceCounters::DeadlineKills},
+    {"quarantined", &ServiceCounters::Quarantined},
+    {"shed", &ServiceCounters::Shed},
+    {"retries", &ServiceCounters::Retries},
+};
+
+/// Calls \p Visit(Key, Fields, Group...) for each counter group in
+/// document order, passing the matching group of every shard in \p M.
+template <class Visitor, class... Metrics>
+void forEachGroup(Visitor &&Visit, Metrics &...M) {
+  Visit("robustness", RobustnessFields, M.robustness()...);
+  Visit("arena", ArenaFields, M.arena()...);
+  Visit("lospre", LospreFields, M.lospre()...);
+  Visit("cache", CacheFields, M.cache()...);
+  Visit("service", ServiceFields, M.service()...);
+}
+
+/// Appends `"key": value, ...` for every row: counters as integers,
+/// nanoseconds as millis with six decimals.
+template <class Record, size_t N>
+void appendFields(std::string &Out, const Field<Record> (&Fields)[N],
+                  const Record &R) {
+  for (const Field<Record> &F : Fields) {
+    char Buf[64];
+    if (F.NanosAsMillis)
+      std::snprintf(Buf, sizeof(Buf), "\"%s\": %.6f", F.Key,
+                    static_cast<double>(R.*F.Member) / 1e6);
+    else
+      std::snprintf(Buf, sizeof(Buf), "\"%s\": %llu", F.Key,
+                    static_cast<unsigned long long>(R.*F.Member));
+    Out += &F == Fields ? "" : ", ";
+    Out += Buf;
   }
-  Robust.FunctionsCompiled += Other.Robust.FunctionsCompiled;
-  Robust.FunctionsDegraded += Other.Robust.FunctionsDegraded;
-  Robust.LadderRetries += Other.Robust.LadderRetries;
-  Robust.WorkerFailures += Other.Robust.WorkerFailures;
-  Cache.Hits += Other.Cache.Hits;
-  Cache.Misses += Other.Cache.Misses;
-  Cache.Stores += Other.Cache.Stores;
-  Cache.Evictions += Other.Cache.Evictions;
-  Cache.DiskHits += Other.Cache.DiskHits;
-  Cache.DiskWrites += Other.Cache.DiskWrites;
-  Cache.DiskEvictions += Other.Cache.DiskEvictions;
-  Cache.VerifyMismatches += Other.Cache.VerifyMismatches;
-  Cache.CorruptDropped += Other.Cache.CorruptDropped;
-  Cache.DiskIoErrors += Other.Cache.DiskIoErrors;
-  Cache.BreakerOpens += Other.Cache.BreakerOpens;
-  Cache.BreakerShortCircuits += Other.Cache.BreakerShortCircuits;
-  // A gauge, not an event count: keep the most-degraded observed state.
-  Cache.BreakerState = std::max(Cache.BreakerState, Other.Cache.BreakerState);
-  Cache.ScrubScanned += Other.Cache.ScrubScanned;
-  Cache.ScrubQuarantined += Other.Cache.ScrubQuarantined;
-  Service.RequestsReceived += Other.Service.RequestsReceived;
-  Service.RequestsSucceeded += Other.Service.RequestsSucceeded;
-  Service.RequestsFailed += Other.Service.RequestsFailed;
-  Service.RequestsDegraded += Other.Service.RequestsDegraded;
-  Service.QueueDepthPeak =
-      std::max(Service.QueueDepthPeak, Other.Service.QueueDepthPeak);
-  Service.QueueWaitNanos += Other.Service.QueueWaitNanos;
-  Service.CompileNanos += Other.Service.CompileNanos;
-  Service.WorkerCrashes += Other.Service.WorkerCrashes;
-  Service.DeadlineKills += Other.Service.DeadlineKills;
-  Service.Quarantined += Other.Service.Quarantined;
-  Service.Shed += Other.Service.Shed;
-  Service.Retries += Other.Service.Retries;
-  Arena.NetworkBuilds += Other.Arena.NetworkBuilds;
-  Arena.PeakBytes = std::max(Arena.PeakBytes, Other.Arena.PeakBytes);
-  Arena.ChunkAllocations =
-      std::max(Arena.ChunkAllocations, Other.Arena.ChunkAllocations);
-  Lospre.Solved += Other.Lospre.Solved;
-  Lospre.Bailouts += Other.Lospre.Bailouts;
-  // A gauge like the arena high-water mark: keep the widest observed.
-  Lospre.WidthPeak = std::max(Lospre.WidthPeak, Other.Lospre.WidthPeak);
-  Lospre.DpEntries += Other.Lospre.DpEntries;
+}
+
+} // namespace
+
+template <class Visitor, class... Metrics>
+void PipelineMetrics::forEachCounter(Visitor &&Visit, Metrics &...M) {
+  auto Rows = [&](const auto &Fields, auto &...R) {
+    for (const auto &F : Fields)
+      Visit(F, R.*F.Member...);
+  };
+  for (unsigned I = 0; I != NumPipelineSteps; ++I)
+    Rows(StepFields, M.Steps[I]...);
+  forEachGroup([&](const char *, const auto &Fields,
+                   auto &...Group) { Rows(Fields, Group...); },
+               M...);
+}
+
+void PipelineMetrics::merge(const PipelineMetrics &Other) {
+  forEachCounter(
+      [](const auto &F, uint64_t &Into, uint64_t From) {
+        Into = F.How == Fold::Max ? std::max(Into, From) : Into + From;
+      },
+      *this, Other);
 }
 
 void PipelineMetrics::noteNetworkArena(uint64_t PeakBytes,
@@ -106,113 +185,51 @@ void PipelineMetrics::noteNetworkArena(uint64_t PeakBytes,
       std::max(Arena.ChunkAllocations, ChunkAllocations);
 }
 
-std::string PipelineMetrics::arenaToJson() const {
-  char Buf[192];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\"network_builds\": %llu, \"peak_bytes\": %llu, "
-                "\"chunk_allocations\": %llu}",
-                static_cast<unsigned long long>(Arena.NetworkBuilds),
-                static_cast<unsigned long long>(Arena.PeakBytes),
-                static_cast<unsigned long long>(Arena.ChunkAllocations));
-  return Buf;
-}
-
-std::string PipelineMetrics::lospreToJson() const {
-  char Buf[192];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\"solved\": %llu, \"bailouts\": %llu, "
-                "\"width_peak\": %llu, \"dp_entries\": %llu}",
-                static_cast<unsigned long long>(Lospre.Solved),
-                static_cast<unsigned long long>(Lospre.Bailouts),
-                static_cast<unsigned long long>(Lospre.WidthPeak),
-                static_cast<unsigned long long>(Lospre.DpEntries));
-  return Buf;
-}
-
-std::string PipelineMetrics::cacheToJson() const {
-  char Buf[768];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\"hits\": %llu, \"misses\": %llu, \"stores\": %llu, "
-                "\"evictions\": %llu, \"disk_hits\": %llu, "
-                "\"disk_writes\": %llu, \"disk_evictions\": %llu, "
-                "\"verify_mismatches\": %llu, \"corrupt_dropped\": %llu, "
-                "\"disk_io_errors\": %llu, \"breaker_opens\": %llu, "
-                "\"breaker_short_circuits\": %llu, \"breaker_state\": %llu, "
-                "\"scrub_scanned\": %llu, \"scrub_quarantined\": %llu}",
-                static_cast<unsigned long long>(Cache.Hits),
-                static_cast<unsigned long long>(Cache.Misses),
-                static_cast<unsigned long long>(Cache.Stores),
-                static_cast<unsigned long long>(Cache.Evictions),
-                static_cast<unsigned long long>(Cache.DiskHits),
-                static_cast<unsigned long long>(Cache.DiskWrites),
-                static_cast<unsigned long long>(Cache.DiskEvictions),
-                static_cast<unsigned long long>(Cache.VerifyMismatches),
-                static_cast<unsigned long long>(Cache.CorruptDropped),
-                static_cast<unsigned long long>(Cache.DiskIoErrors),
-                static_cast<unsigned long long>(Cache.BreakerOpens),
-                static_cast<unsigned long long>(Cache.BreakerShortCircuits),
-                static_cast<unsigned long long>(Cache.BreakerState),
-                static_cast<unsigned long long>(Cache.ScrubScanned),
-                static_cast<unsigned long long>(Cache.ScrubQuarantined));
-  return Buf;
-}
-
-std::string PipelineMetrics::serviceToJson() const {
-  char Buf[640];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "{\"requests_received\": %llu, \"requests_succeeded\": %llu, "
-      "\"requests_failed\": %llu, \"requests_degraded\": %llu, "
-      "\"queue_depth_peak\": %llu, \"queue_wait_millis\": %.6f, "
-      "\"compile_millis\": %.6f, \"worker_crashes\": %llu, "
-      "\"deadline_kills\": %llu, \"quarantined\": %llu, "
-      "\"shed\": %llu, \"retries\": %llu}",
-      static_cast<unsigned long long>(Service.RequestsReceived),
-      static_cast<unsigned long long>(Service.RequestsSucceeded),
-      static_cast<unsigned long long>(Service.RequestsFailed),
-      static_cast<unsigned long long>(Service.RequestsDegraded),
-      static_cast<unsigned long long>(Service.QueueDepthPeak),
-      static_cast<double>(Service.QueueWaitNanos) / 1e6,
-      static_cast<double>(Service.CompileNanos) / 1e6,
-      static_cast<unsigned long long>(Service.WorkerCrashes),
-      static_cast<unsigned long long>(Service.DeadlineKills),
-      static_cast<unsigned long long>(Service.Quarantined),
-      static_cast<unsigned long long>(Service.Shed),
-      static_cast<unsigned long long>(Service.Retries));
-  return Buf;
-}
-
-std::string PipelineMetrics::robustnessToJson() const {
-  char Buf[256];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\"functions_compiled\": %llu, "
-                "\"functions_degraded\": %llu, "
-                "\"ladder_retries\": %llu, "
-                "\"worker_failures\": %llu}",
-                static_cast<unsigned long long>(Robust.FunctionsCompiled),
-                static_cast<unsigned long long>(Robust.FunctionsDegraded),
-                static_cast<unsigned long long>(Robust.LadderRetries),
-                static_cast<unsigned long long>(Robust.WorkerFailures));
-  return Buf;
-}
-
-std::string PipelineMetrics::toJson() const {
-  std::string Out = "[";
+std::string PipelineMetrics::toJson(unsigned Jobs) const {
+  std::string Out = "{\"jobs\": " + std::to_string(Jobs) + ",\n\"steps\": [";
   for (unsigned I = 0; I != NumPipelineSteps; ++I) {
-    const StepMetrics &M = Steps[I];
-    char Buf[256];
-    std::snprintf(Buf, sizeof(Buf),
-                  "%s\n  {\"step\": \"%s\", \"invocations\": %llu, "
-                  "\"millis\": %.6f, \"problem_size\": %llu}",
-                  I ? "," : "",
-                  pipelineStepName(static_cast<PipelineStep>(I)),
-                  static_cast<unsigned long long>(M.Invocations),
-                  static_cast<double>(M.Nanos) / 1e6,
-                  static_cast<unsigned long long>(M.ProblemSize));
-    Out += Buf;
+    Out += I ? ",\n  {\"step\": \"" : "\n  {\"step\": \"";
+    Out += pipelineStepName(static_cast<PipelineStep>(I));
+    Out += "\", ";
+    appendFields(Out, StepFields, Steps[I]);
+    Out += '}';
   }
   Out += "\n]";
+  forEachGroup(
+      [&](const char *Key, const auto &Fields, const auto &Group) {
+        Out += ",\n\"" + std::string(Key) + "\": {";
+        appendFields(Out, Fields, Group);
+        Out += '}';
+      },
+      *this);
+  return Out + '}';
+}
+
+std::string PipelineMetrics::encode() const {
+  std::string Out;
+  forEachCounter(
+      [&](const auto &, uint64_t V) {
+        Out += (Out.empty() ? "" : " ") + std::to_string(V);
+      },
+      *this);
   return Out;
+}
+
+bool PipelineMetrics::decode(const std::string &Text, PipelineMetrics &Out) {
+  const std::vector<std::string> Tokens = linecodec::splitTokens(Text);
+  size_t Next = 0;
+  bool Ok = true;
+  PipelineMetrics M;
+  forEachCounter(
+      [&](const auto &, uint64_t &V) {
+        Ok = Ok && Next != Tokens.size() &&
+             linecodec::parseU64(Tokens[Next++], V);
+      },
+      M);
+  if (!Ok || Next != Tokens.size())
+    return false;
+  Out = M;
+  return true;
 }
 
 namespace {

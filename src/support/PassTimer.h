@@ -61,8 +61,7 @@ struct StepMetrics {
 };
 
 /// Fault-isolation counters for one pipeline run (or one worker's
-/// shard). Not part of the per-step JSON schema; the tool exports them
-/// under a separate "robustness" key.
+/// shard). Exported under the metrics JSON "robustness" key.
 struct RobustnessCounters {
   uint64_t FunctionsCompiled = 0;
   uint64_t FunctionsDegraded = 0; ///< Landed below the requested strategy.
@@ -71,8 +70,8 @@ struct RobustnessCounters {
 };
 
 /// Request-level counters of the compilation service (specpre-serve).
-/// Exported under the metrics JSON "service" key; zero-valued and absent
-/// from exports in plain batch runs.
+/// Exported under the metrics JSON "service" key; all zero in plain
+/// batch runs, whose documents still carry the group.
 struct ServiceCounters {
   uint64_t RequestsReceived = 0;
   uint64_t RequestsSucceeded = 0;
@@ -111,6 +110,9 @@ struct ArenaCounters {
 };
 
 /// Per-step metrics for one pipeline run (or one worker's shard of it).
+/// Each counter is one row of a field table in support/PassTimer.cpp
+/// (JSON key, member, fold, unit); merge(), toJson() and the shard codec
+/// are derived from the tables.
 class PipelineMetrics {
 public:
   void note(PipelineStep S, uint64_t Nanos, uint64_t ProblemSize);
@@ -118,26 +120,17 @@ public:
   RobustnessCounters &robustness() { return Robust; }
   const RobustnessCounters &robustness() const { return Robust; }
 
-  /// JSON object with one key per RobustnessCounters field.
-  std::string robustnessToJson() const;
-
   /// Compilation-cache counters of this run (hit/miss/evict/...). The
   /// drivers do not fill these incrementally; the tool snapshots its
   /// CompileCache's counters here before export, so the JSON reflects
-  /// the whole process. merge() sums field-wise like every other shard.
+  /// the whole process.
   CacheCounters &cache() { return Cache; }
   const CacheCounters &cache() const { return Cache; }
 
-  /// JSON object with one key per CacheCounters field.
-  std::string cacheToJson() const;
-
   /// Serve-daemon request counters; filled by pre/CompileService, zero
-  /// elsewhere. merge() sums, except QueueDepthPeak which folds by max.
+  /// elsewhere.
   ServiceCounters &service() { return Service; }
   const ServiceCounters &service() const { return Service; }
-
-  /// JSON object with one key per ServiceCounters field.
-  std::string serviceToJson() const;
 
   /// Records one arena-backed network build: bumps NetworkBuilds and
   /// folds the arena's high-water mark / chunk count in by max.
@@ -146,17 +139,10 @@ public:
   ArenaCounters &arena() { return Arena; }
   const ArenaCounters &arena() const { return Arena; }
 
-  /// JSON object with one key per ArenaCounters field.
-  std::string arenaToJson() const;
-
   /// Leg-D treewidth engine counters; filled by pre/Lospre and the
-  /// PreDriver's reducibility gate, zero elsewhere. merge() sums,
-  /// except WidthPeak which folds by max.
+  /// PreDriver's reducibility gate, zero elsewhere.
   LospreCounters &lospre() { return Lospre; }
   const LospreCounters &lospre() const { return Lospre; }
-
-  /// JSON object with one key per LospreCounters field.
-  std::string lospreToJson() const;
 
   const StepMetrics &step(PipelineStep S) const {
     return Steps[static_cast<unsigned>(S)];
@@ -164,16 +150,33 @@ public:
 
   uint64_t totalNanos() const;
 
-  /// Sums \p Other into this shard (commutative and associative, so any
-  /// merge order yields the same totals).
+  /// Folds \p Other into this shard, counter by counter: sums, except
+  /// the gauges (peak bytes, chunk allocations, width peak, breaker
+  /// state, queue depth peak), which keep the max. Commutative and
+  /// associative, so any merge order yields the same totals.
   void merge(const PipelineMetrics &Other);
 
-  /// JSON array with exactly one object per pipeline step, in pipeline
-  /// order: [{"step": "phi-insertion", "invocations": N,
-  /// "millis": T, "problem_size": P}, ...].
-  std::string toJson() const;
+  /// The metrics document every exporter writes (`--metrics-out`, the
+  /// daemon's 'T' frame, serve_throughput), without a trailing newline:
+  /// "jobs", then "steps" (one {"step", "invocations", "millis",
+  /// "problem_size"} object per step, in pipeline order), then the
+  /// robustness, arena, lospre, cache and service groups.
+  std::string toJson(unsigned Jobs) const;
+
+  /// The shard as one line of decimal counters in table order (the
+  /// sandbox worker's 'M' frame). Nanoseconds travel unrounded.
+  std::string encode() const;
+
+  /// Inverse of encode() by the strict support/LineCodec parsers; a
+  /// missing or extra token, a sign or an overflow leaves \p Out as is.
+  static bool decode(const std::string &Text, PipelineMetrics &Out);
 
 private:
+  /// Calls \p Visit(Row, Counter...) for every counter of \p M, the
+  /// matching counters of all shards at once, in field-table order.
+  template <class Visitor, class... Metrics>
+  static void forEachCounter(Visitor &&Visit, Metrics &...M);
+
   std::array<StepMetrics, NumPipelineSteps> Steps;
   RobustnessCounters Robust;
   CacheCounters Cache;

@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interpreter.h"
+#include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "pre/CachedCompile.h"
 #include "pre/ParallelDriver.h"
@@ -37,6 +38,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -525,6 +527,94 @@ TEST(CompileCacheTest, CorruptedIntegerTokensAreRejected) {
   // Trailing garbage and empty tokens.
   EXPECT_FALSE(DecodeWithCount(CountTok + "x"));
   EXPECT_FALSE(DecodeWithCount("0x10"));
+}
+
+namespace {
+
+/// A compile outcome and an expression record in which every field
+/// differs: both bools set, negative weights, a uint64_t above 2^32 and
+/// strings that need escaping.
+CompileOutcomeRecord distinctOutcome() {
+  CompileOutcomeRecord O;
+  O.FunctionName = "hot fn%";
+  O.FuncIndex = 7;
+  O.Requested = "MC-SSAPRE";
+  O.Used = "SSAPRE (spec)";
+  O.Retries = 2;
+  O.Cause = "resource-limit";
+  O.Message = "EFG has 9 nodes\tover budget";
+  return O;
+}
+
+ExprStatsRecord distinctRecord() {
+  ExprStatsRecord R;
+  R.Expr = "a * b";
+  R.FunctionName = "hot fn%";
+  R.FuncIndex = 7;
+  R.ExprIndex = 11;
+  R.FrgPhis = 13;
+  R.FrgReals = 17;
+  R.EfgEmpty = true;
+  R.EfgNodes = 19;
+  R.EfgEdges = 23;
+  R.CutWeight = -29;
+  R.NumInsertions = 31;
+  R.NumReloads = 37;
+  R.NumSaves = 41;
+  R.NumTempPhis = 43;
+  R.McPreNodes = 47;
+  R.McPreEdges = 53;
+  R.ReloadedFreq = 5000000059ULL;
+  R.InsertedFreq = 61;
+  R.SprReloadedFreq = 67;
+  R.SprWeight = -71;
+  R.InsertedWeight = -73;
+  R.InPlaceWeight = 79;
+  R.Saturated = true;
+  R.Speculated = true;
+  R.LospreWidth = 83;
+  R.LospreDpEntries = 8000000089ULL;
+  return R;
+}
+
+} // namespace
+
+TEST(CompileCacheTest, PayloadBytesArePinned) {
+  // The specpre-cache v2 bytes, pinned. Every field of both records
+  // differs, so a field-table row out of order or with the wrong token
+  // codec changes them, and a changed payload would orphan every entry
+  // on disk without a format bump.
+  std::string Error;
+  std::optional<Module> M = parseModule(
+      "func f(a, b) {\nentry:\n  x = a * b\n  ret x\n}\n", Error);
+  ASSERT_TRUE(M) << Error;
+  const std::vector<ExprStatsRecord> Records = {distinctRecord(),
+                                                ExprStatsRecord()};
+  const std::string Payload =
+      encodeCachePayload(M->Functions.front(), Records, distinctOutcome());
+  EXPECT_EQ(Payload,
+            "specpre-cache v2\n"
+            "ssa 0\n"
+            "outcome hot%20fn%25 7 MC-SSAPRE SSAPRE%20(spec) 2 "
+            "resource-limit EFG%20has%209%20nodes%09over%20budget\n"
+            "records 2\n"
+            "record a%20*%20b hot%20fn%25 7 11 13 17 1 19 23 -29 31 37 41 43 "
+            "47 53 5000000059 61 67 -71 -73 79 1 1 83 8000000089\n"
+            "record % % 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+            "ir 44\n"
+            "func f(a, b) {\n"
+            "entry:\n"
+            "  x = a * b\n"
+            "  ret x\n"
+            "}\n");
+
+  Function Decoded;
+  std::vector<ExprStatsRecord> DecodedRecords;
+  CompileOutcomeRecord DecodedOutcome;
+  ASSERT_TRUE(
+      decodeCachePayload(Payload, Decoded, DecodedRecords, DecodedOutcome));
+  EXPECT_TRUE(DecodedRecords == Records);
+  EXPECT_TRUE(DecodedOutcome == distinctOutcome());
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,6 +8,8 @@
 //  * a worker past the request deadline is SIGKILLed, never waited on
 //    forever;
 //  * a worker over its memory cap dies contained, like any other crash;
+//  * a sandboxed compile's counts reach the daemon's metrics as an
+//    in-process compile's do;
 //  * a bounded queue sheds with 'B' instead of growing without bound;
 //  * under concurrent clients with torn frames, dropped connections and
 //    worker kills, every request terminates in a bit-identical, an
@@ -218,6 +220,61 @@ TEST(ChaosTest, RlimitKillContained) {
   EXPECT_EQ(Alive.ExitCode, 0);
 }
 
+TEST(ChaosTest, SandboxedCompilesCountLikeInProcessOnes) {
+  // A sandbox worker sends its metrics shard ahead of its answer, so a
+  // process-isolated service reports the same counts for the same
+  // requests as an in-process one. The second request is a warm hit in
+  // both: from the memory tier in-process, from the shared disk tier in
+  // the fresh worker.
+  namespace fs = std::filesystem;
+  const std::string Want = localReference(basicRequest()).StdoutText;
+  auto Run = [&](IsolationMode Mode, const char *Tag) {
+    fs::path Dir = fs::temp_directory_path() /
+                   ("specpre-chaos-count-" + std::to_string(getpid()) + Tag);
+    fs::remove_all(Dir);
+    CompileService::Config Cfg;
+    Cfg.Isolation = Mode;
+    Cfg.Cache.DiskDir = Dir.string();
+    PipelineMetrics M;
+    {
+      CompileService Service(Cfg);
+      for (int I = 0; I != 2; ++I) {
+        ServeResponse Resp = Service.submit(basicRequest()).get();
+        EXPECT_TRUE(Resp.Ok) << Tag;
+        EXPECT_EQ(Resp.ExitCode, 0) << Tag;
+        EXPECT_EQ(Resp.StdoutText, Want) << Tag;
+      }
+      M = Service.metricsSnapshot();
+    }
+    fs::remove_all(Dir);
+    return M;
+  };
+  PipelineMetrics InProcess = Run(IsolationMode::InProcess, "-inproc");
+  PipelineMetrics Sandboxed = Run(IsolationMode::Process, "-proc");
+
+  // Two functions per request, both compiled cleanly twice.
+  EXPECT_EQ(InProcess.robustness().FunctionsCompiled, 4u);
+  EXPECT_EQ(Sandboxed.robustness().FunctionsCompiled,
+            InProcess.robustness().FunctionsCompiled);
+  EXPECT_EQ(Sandboxed.robustness().FunctionsDegraded,
+            InProcess.robustness().FunctionsDegraded);
+  EXPECT_EQ(Sandboxed.robustness().LadderRetries,
+            InProcess.robustness().LadderRetries);
+  EXPECT_EQ(Sandboxed.robustness().WorkerFailures,
+            InProcess.robustness().WorkerFailures);
+
+  EXPECT_GT(InProcess.step(PipelineStep::PhiInsertion).Invocations, 0u);
+  for (unsigned S = 0; S != NumPipelineSteps; ++S)
+    EXPECT_EQ(Sandboxed.step(static_cast<PipelineStep>(S)).Invocations,
+              InProcess.step(static_cast<PipelineStep>(S)).Invocations)
+        << pipelineStepName(static_cast<PipelineStep>(S));
+
+  EXPECT_EQ(InProcess.cache().Misses, 2u);
+  EXPECT_EQ(InProcess.cache().Hits, 2u);
+  EXPECT_EQ(Sandboxed.cache().Misses, InProcess.cache().Misses);
+  EXPECT_EQ(Sandboxed.cache().Hits, InProcess.cache().Hits);
+}
+
 #endif // !SPECPRE_TSAN
 
 //===----------------------------------------------------------------------===//
@@ -356,7 +413,7 @@ TEST(ChaosTest, ConcurrentChaosSweep) {
   Cfg.Service.RequestWorkers = 4;
   Cfg.Service.Isolation = IsolationMode::Process;
   Cfg.Service.QuarantineAfter = 3;
-  Cfg.Service.CacheDir = CacheDir.string();
+  Cfg.Service.Cache.DiskDir = CacheDir.string();
   ServeServer Server(Cfg);
   ASSERT_TRUE(Server.start().isOk());
 
@@ -468,10 +525,10 @@ TEST(ChaosTest, DiskStormNeverServesCorruptBytes) {
   Cfg.SocketPath = tempSocketPath("storm");
   Cfg.IoTimeoutMs = 10000;
   Cfg.Service.RequestWorkers = 2;
-  Cfg.Service.CacheDir = CacheDir.string();
+  Cfg.Service.Cache.DiskDir = CacheDir.string();
   // A tight breaker so the storm demonstrably trips and heals it.
-  Cfg.Service.CacheBreakerThreshold = 2;
-  Cfg.Service.CacheBreakerCooldownMs = 50;
+  Cfg.Service.Cache.BreakerThreshold = 2;
+  Cfg.Service.Cache.BreakerCooldownMs = 50;
   Cfg.Service.CacheScrubIntervalMs = 100; // scrub concurrently with load
   ServeServer Server(Cfg);
   ASSERT_TRUE(Server.start().isOk());

@@ -1,11 +1,14 @@
 //===- tests/metrics_json_test.cpp - PipelineMetrics / JSON export -------------===//
 //
-// The metrics smoke tests promised in docs/TESTING.md: the JSON emitted
-// behind `specpre-opt --metrics-out=` must be well-formed, carry exactly
-// one entry per pipeline step (in pipeline order), and report
-// non-negative, consistent numbers. A minimal recursive-descent JSON
-// parser lives in this file so the check does not depend on an external
-// JSON library the toolchain may not have.
+// The metrics schema tests promised in docs/TESTING.md: the document
+// every exporter writes (`--metrics-out`, the daemon's 'T' frame,
+// serve_throughput) must be well-formed, carry exactly one entry per
+// pipeline step (in pipeline order) and report non-negative, consistent
+// numbers; its bytes are pinned, merge() folds every counter by its rule,
+// and the sandbox worker's flat shard encoding round-trips and rejects
+// damage. A minimal recursive-descent JSON parser lives in this file so
+// the check does not depend on an external JSON library the toolchain
+// may not have.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -205,6 +210,52 @@ PipelineMetrics collectMetrics(PreStrategy Strategy, unsigned Jobs) {
   return M;
 }
 
+/// A shard in which every counter holds its own value: step S ran S+1
+/// times, and the group counters count up from \p Seed + 1 in
+/// declaration order, so both service millis fields are non-integral.
+PipelineMetrics distinctMetrics(uint64_t Seed) {
+  PipelineMetrics M;
+  for (unsigned S = 0; S != NumPipelineSteps; ++S)
+    for (unsigned I = 0; I <= S; ++I)
+      M.note(static_cast<PipelineStep>(S), Seed * 7 + 1500001 + S * 250003,
+             Seed + 50 + S);
+  uint64_t V = Seed;
+  RobustnessCounters &R = M.robustness();
+  for (uint64_t *C : {&R.FunctionsCompiled, &R.FunctionsDegraded,
+                      &R.LadderRetries, &R.WorkerFailures})
+    *C = ++V;
+  ArenaCounters &A = M.arena();
+  for (uint64_t *C : {&A.NetworkBuilds, &A.PeakBytes, &A.ChunkAllocations})
+    *C = ++V;
+  LospreCounters &L = M.lospre();
+  for (uint64_t *C : {&L.Solved, &L.Bailouts, &L.WidthPeak, &L.DpEntries})
+    *C = ++V;
+  CacheCounters &K = M.cache();
+  for (uint64_t *C :
+       {&K.Hits, &K.Misses, &K.Stores, &K.Evictions, &K.DiskHits,
+        &K.DiskWrites, &K.DiskEvictions, &K.VerifyMismatches,
+        &K.CorruptDropped, &K.DiskIoErrors, &K.BreakerOpens,
+        &K.BreakerShortCircuits, &K.BreakerState, &K.ScrubScanned,
+        &K.ScrubQuarantined})
+    *C = ++V;
+  ServiceCounters &Sv = M.service();
+  for (uint64_t *C :
+       {&Sv.RequestsReceived, &Sv.RequestsSucceeded, &Sv.RequestsFailed,
+        &Sv.RequestsDegraded, &Sv.QueueDepthPeak, &Sv.QueueWaitNanos,
+        &Sv.CompileNanos, &Sv.WorkerCrashes, &Sv.DeadlineKills,
+        &Sv.Quarantined, &Sv.Shed, &Sv.Retries})
+    *C = ++V;
+  return M;
+}
+
+/// \p Doc as a JSON object; empty (and a test failure) if it is invalid.
+JsonObject parseDocument(const std::string &Doc) {
+  JsonParser P(Doc);
+  JsonValue V = P.parse();
+  EXPECT_TRUE(P.ok()) << "invalid JSON: " << Doc;
+  return P.ok() ? V.obj() : JsonObject();
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -213,12 +264,12 @@ PipelineMetrics collectMetrics(PreStrategy Strategy, unsigned Jobs) {
 
 TEST(MetricsJson, OneEntryPerStepInPipelineOrder) {
   PipelineMetrics M = collectMetrics(PreStrategy::McSsaPre, 1);
-  std::string Json = M.toJson();
+  std::string Json = M.toJson(1);
   JsonParser P(Json);
   JsonValue V = P.parse();
   ASSERT_TRUE(P.ok()) << "invalid JSON: " << Json;
 
-  const JsonArray &Steps = V.arr();
+  const JsonArray &Steps = V.obj().at("steps").arr();
   ASSERT_EQ(Steps.size(), NumPipelineSteps);
   for (unsigned S = 0; S != NumPipelineSteps; ++S) {
     const JsonObject &O = Steps[S].obj();
@@ -295,13 +346,120 @@ TEST(MetricsJson, NoSinkMeansNoCollection) {
 
 TEST(MetricsJson, EmptyMetricsStillFullSchema) {
   PipelineMetrics M;
-  std::string Json = M.toJson();
+  std::string Json = M.toJson(1);
   JsonParser P(Json);
   JsonValue V = P.parse();
   ASSERT_TRUE(P.ok()) << "invalid JSON: " << Json;
-  ASSERT_EQ(V.arr().size(), NumPipelineSteps);
-  for (const JsonValue &Step : V.arr()) {
+  const JsonArray &Steps = V.obj().at("steps").arr();
+  ASSERT_EQ(Steps.size(), NumPipelineSteps);
+  for (const JsonValue &Step : Steps) {
     EXPECT_EQ(Step.obj().at("invocations").num(), 0.0);
     EXPECT_EQ(Step.obj().at("millis").num(), 0.0);
   }
+  // Every group is present, all zero, in a batch run's document too.
+  for (const char *Group :
+       {"robustness", "arena", "lospre", "cache", "service"}) {
+    ASSERT_TRUE(V.obj().count(Group)) << Group;
+    EXPECT_FALSE(V.obj().at(Group).obj().empty()) << Group;
+    for (const auto &[Key, Value] : V.obj().at(Group).obj())
+      EXPECT_EQ(Value.num(), 0.0) << Group << "." << Key;
+  }
+}
+
+TEST(MetricsJson, DocumentBytesArePinned) {
+  // Every counter holds its own value, so a key written against the wrong
+  // member, a group out of order or a changed number format shows here.
+  EXPECT_EQ(
+      distinctMetrics(1000).toJson(3),
+      R"({"jobs": 3,
+"steps": [
+  {"step": "phi-insertion", "invocations": 1, "millis": 1.507001, "problem_size": 1050},
+  {"step": "rename", "invocations": 2, "millis": 3.514008, "problem_size": 2102},
+  {"step": "data-flow", "invocations": 3, "millis": 6.021021, "problem_size": 3156},
+  {"step": "reduction", "invocations": 4, "millis": 9.028040, "problem_size": 4212},
+  {"step": "min-cut", "invocations": 5, "millis": 12.535065, "problem_size": 5270},
+  {"step": "safe-placement", "invocations": 6, "millis": 16.542096, "problem_size": 6330},
+  {"step": "finalize", "invocations": 7, "millis": 21.049133, "problem_size": 7392},
+  {"step": "code-motion", "invocations": 8, "millis": 26.056176, "problem_size": 8456}
+],
+"robustness": {"functions_compiled": 1001, "functions_degraded": 1002, "ladder_retries": 1003, "worker_failures": 1004},
+"arena": {"network_builds": 1005, "peak_bytes": 1006, "chunk_allocations": 1007},
+"lospre": {"solved": 1008, "bailouts": 1009, "width_peak": 1010, "dp_entries": 1011},
+"cache": {"hits": 1012, "misses": 1013, "stores": 1014, "evictions": 1015, "disk_hits": 1016, "disk_writes": 1017, "disk_evictions": 1018, "verify_mismatches": 1019, "corrupt_dropped": 1020, "disk_io_errors": 1021, "breaker_opens": 1022, "breaker_short_circuits": 1023, "breaker_state": 1024, "scrub_scanned": 1025, "scrub_quarantined": 1026},
+"service": {"requests_received": 1027, "requests_succeeded": 1028, "requests_failed": 1029, "requests_degraded": 1030, "queue_depth_peak": 1031, "queue_wait_millis": 0.001032, "compile_millis": 0.001033, "worker_crashes": 1034, "deadline_kills": 1035, "quarantined": 1036, "shed": 1037, "retries": 1038}})");
+}
+
+TEST(MetricsJson, MergeKeepsTheMaxOfGaugesAndSumsTheRest) {
+  // Big's counters all exceed Small's, so a max keeps Big's value in
+  // both merge directions, while a sum, a keep or an overwrite would not.
+  const std::set<std::string> Gauges = {"peak_bytes", "chunk_allocations",
+                                        "width_peak", "breaker_state",
+                                        "queue_depth_peak"};
+  PipelineMetrics Big = distinctMetrics(1000), Small = distinctMetrics(1);
+  PipelineMetrics BigFirst = Big, SmallFirst = Small;
+  BigFirst.merge(Small);
+  SmallFirst.merge(Big);
+  EXPECT_EQ(BigFirst.toJson(1), SmallFirst.toJson(1)) << "merge order";
+
+  JsonObject B = parseDocument(Big.toJson(1));
+  JsonObject S = parseDocument(Small.toJson(1));
+  JsonObject M = parseDocument(BigFirst.toJson(1));
+  ASSERT_FALSE(M.empty());
+  std::set<std::string> MaxFolded;
+  size_t Counters = 0;
+  for (const char *Group :
+       {"robustness", "arena", "lospre", "cache", "service"}) {
+    for (const auto &[Key, Merged] : M.at(Group).obj()) {
+      ++Counters;
+      double BigV = B.at(Group).obj().at(Key).num();
+      double SmallV = S.at(Group).obj().at(Key).num();
+      if (Merged.num() == BigV)
+        MaxFolded.insert(Key);
+      else
+        EXPECT_NEAR(Merged.num(), BigV + SmallV, 1e-9) << Group << "." << Key;
+    }
+  }
+  EXPECT_EQ(Counters, 38u);
+  EXPECT_EQ(MaxFolded, Gauges);
+  // Step records only sum.
+  for (unsigned I = 0; I != NumPipelineSteps; ++I)
+    for (const char *Key : {"invocations", "millis", "problem_size"})
+      EXPECT_NEAR(M.at("steps").arr()[I].obj().at(Key).num(),
+                  B.at("steps").arr()[I].obj().at(Key).num() +
+                      S.at("steps").arr()[I].obj().at(Key).num(),
+                  1e-9)
+          << I << "." << Key;
+}
+
+TEST(MetricsJson, ShardCodecRoundTripsAndRejectsDamage) {
+  const PipelineMetrics M = distinctMetrics(1000);
+  const std::string Encoded = M.encode();
+  PipelineMetrics Back;
+  ASSERT_TRUE(PipelineMetrics::decode(Encoded, Back)) << Encoded;
+  EXPECT_EQ(Back.encode(), Encoded);
+  EXPECT_EQ(Back.toJson(1), M.toJson(1));
+  // Nanoseconds travel unrounded.
+  EXPECT_EQ(Back.step(PipelineStep::MinCut).Nanos,
+            M.step(PipelineStep::MinCut).Nanos);
+
+  const size_t FirstSpace = Encoded.find(' ');
+  const std::string Rest = Encoded.substr(FirstSpace);
+  const std::string Damaged[] = {
+      Encoded.substr(0, Encoded.rfind(' ')), // a dropped token
+      Encoded + " 7",                        // an extra token
+      "+" + Encoded,                         // a sign
+      "-1" + Rest,
+      "18446744073709551616" + Rest, // 2^64: overflow
+      "1x" + Rest,
+      "",
+  };
+  for (const std::string &Text : Damaged) {
+    PipelineMetrics Out = distinctMetrics(1);
+    const std::string Before = Out.encode();
+    EXPECT_FALSE(PipelineMetrics::decode(Text, Out)) << Text;
+    EXPECT_EQ(Out.encode(), Before) << "a failed decode wrote " << Text;
+  }
+  // The largest counter still decodes.
+  PipelineMetrics Max;
+  EXPECT_TRUE(PipelineMetrics::decode("18446744073709551615" + Rest, Max));
 }

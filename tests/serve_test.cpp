@@ -338,12 +338,17 @@ TEST(ServeServerTest, PingAndCompileRoundTrip) {
   EXPECT_EQ(Got.StdoutText, Ref.StdoutText);
   EXPECT_EQ(Got.StderrText, Ref.StderrText);
 
-  // Stats frame reports the served request.
+  // Stats frame reports the served request, in the full metrics document.
   ASSERT_TRUE(writeFrame(Conn, 'S', "", 5000).isOk());
   ASSERT_TRUE(readFrame(Conn, F, PeerClosed, 5000).isOk());
   EXPECT_EQ(F.Type, 'T');
   EXPECT_NE(F.Payload.find("\"requests_received\": 1"), std::string::npos)
       << F.Payload;
+  for (const char *Key : {"\"jobs\": ", "\"steps\": [", "\"robustness\": {",
+                          "\"arena\": {", "\"lospre\": {", "\"cache\": {",
+                          "\"service\": {"})
+    EXPECT_NE(F.Payload.find(Key), std::string::npos)
+        << "stats frame lacks " << Key << ": " << F.Payload;
 }
 
 TEST(ServeServerTest, ConcurrentClientsShareTheWarmCache) {

@@ -184,8 +184,8 @@ TEST(Stress, ArenaNetworkBuildsStayFlat) {
   EXPECT_EQ(Steady.arena().PeakBytes, Warmup.arena().PeakBytes);
   EXPECT_EQ(Steady.arena().ChunkAllocations,
             Warmup.arena().ChunkAllocations);
-  // And the JSON export carries exactly these counters.
-  std::string Json = Steady.arenaToJson();
+  // And the metrics document carries exactly these counters.
+  std::string Json = Steady.toJson(1);
   EXPECT_NE(Json.find("\"network_builds\": " +
                       std::to_string(Epochs * BuildsPerEpoch)),
             std::string::npos)

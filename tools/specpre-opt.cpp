@@ -679,14 +679,7 @@ int main(int Argc, char **Argv) {
                    Opts.MetricsOutPath.c_str());
       return 1;
     }
-    char Header[64];
-    std::snprintf(Header, sizeof(Header), "{\"jobs\": %u,\n\"steps\": ",
-                  Driver.jobs());
-    Out << Header << Metrics.toJson() << ",\n\"robustness\": "
-        << Metrics.robustnessToJson() << ",\n\"arena\": "
-        << Metrics.arenaToJson() << ",\n\"lospre\": "
-        << Metrics.lospreToJson() << ",\n\"cache\": "
-        << Metrics.cacheToJson() << "}\n";
+    Out << Metrics.toJson(Driver.jobs()) << "\n";
   }
 
   if (CacheStats.VerifyMismatches) {

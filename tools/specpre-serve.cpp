@@ -99,6 +99,7 @@ int usage(const char *Argv0) {
 
 bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
   CompileService::Config &Svc = Opts.Server.Service;
+  CompileCache::Config &Cache = Svc.Cache;
   for (int I = 1; I != Argc; ++I) {
     std::string A = Argv[I];
     auto Value = [&](const char *Prefix) -> std::optional<std::string> {
@@ -126,39 +127,39 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
       if (!linecodec::parseU32(*V, Svc.RequestWorkers))
         return BadInt("--request-workers", *V);
     } else if (auto V = Value("--cache-dir=")) {
-      Svc.CacheDir = *V;
+      Cache.DiskDir = *V;
     } else if (auto V = Value("--cache=")) {
       if (*V == "on")
-        Svc.Mode = CacheMode::On;
+        Cache.Mode = CacheMode::On;
       else if (*V == "off")
-        Svc.Mode = CacheMode::Off;
+        Cache.Mode = CacheMode::Off;
       else {
         std::fprintf(stderr, "error: bad --cache mode '%s'\n", V->c_str());
         return false;
       }
     } else if (auto V = Value("--cache-max-entries=")) {
-      if (!linecodec::parseU64(*V, Svc.CacheMaxEntries))
+      if (!linecodec::parseU64(*V, Cache.MaxEntries))
         return BadInt("--cache-max-entries", *V);
     } else if (auto V = Value("--cache-max-disk-mb=")) {
       uint64_t Mb;
       if (!ParseMb(*V, Mb))
         return BadInt("--cache-max-disk-mb", *V);
-      Svc.CacheMaxDiskBytes = Mb << 20;
+      Cache.MaxDiskBytes = Mb << 20;
     } else if (auto V = Value("--cache-durable=")) {
       if (*V == "on")
-        Svc.CacheDurable = true;
+        Cache.Durable = true;
       else if (*V == "off")
-        Svc.CacheDurable = false;
+        Cache.Durable = false;
       else {
         std::fprintf(stderr, "error: bad --cache-durable value '%s'\n",
                      V->c_str());
         return false;
       }
     } else if (auto V = Value("--cache-breaker-threshold=")) {
-      if (!linecodec::parseU64(*V, Svc.CacheBreakerThreshold))
+      if (!linecodec::parseU64(*V, Cache.BreakerThreshold))
         return BadInt("--cache-breaker-threshold", *V);
     } else if (auto V = Value("--cache-breaker-cooldown-ms=")) {
-      if (!linecodec::parseU64(*V, Svc.CacheBreakerCooldownMs))
+      if (!linecodec::parseU64(*V, Cache.BreakerCooldownMs))
         return BadInt("--cache-breaker-cooldown-ms", *V);
     } else if (auto V = Value("--cache-scrub-interval-ms=")) {
       if (!linecodec::parseU64(*V, Svc.CacheScrubIntervalMs))
@@ -267,14 +268,7 @@ int main(int Argc, char **Argv) {
                    Opts.MetricsOutPath.c_str());
       return 1;
     }
-    char Header[64];
-    std::snprintf(Header, sizeof(Header), "{\"jobs\": %u,\n\"steps\": ",
-                  Server.service().jobs());
-    Out << Header << M.toJson() << ",\n\"robustness\": "
-        << M.robustnessToJson() << ",\n\"arena\": " << M.arenaToJson()
-        << ",\n\"lospre\": " << M.lospreToJson()
-        << ",\n\"cache\": " << M.cacheToJson()
-        << ",\n\"service\": " << M.serviceToJson() << "}\n";
+    Out << M.toJson(Server.service().jobs()) << "\n";
   }
   const ServiceCounters &S = M.service();
   std::fprintf(stderr,
