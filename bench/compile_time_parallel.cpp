@@ -1,12 +1,12 @@
 //===- bench/compile_time_parallel.cpp - Parallel pipeline speedup --------------===//
 //
 // Serial-vs-parallel compile time of the full CPU2006 stand-in corpus
-// under MC-SSAPRE. The parallel driver fans out per-function compiles
-// and per-expression placement onto the work-stealing pool; this bench
-// measures wall time at 1, 2, and 4 workers, checks that every
-// configuration produces byte-identical IR (the determinism guarantee
-// the differential tests assert), and reports where the time goes using
-// the per-step pipeline metrics.
+// under MC-SSAPRE. The parallel driver fans whole functions out onto the
+// work-stealing pool, one function per thread; this bench measures wall
+// time at 1, 2, and 4 workers, checks that every configuration produces
+// byte-identical IR (the determinism guarantee the differential tests
+// assert), and reports where the time goes using the per-step pipeline
+// metrics.
 //
 // Speedup is bounded by the machine: on a single-core container the
 // parallel runs cannot beat serial (expect ~1.0x plus scheduling

@@ -284,16 +284,28 @@ void ServeResponse::appendRunReport(const char *Label, const ExecResult &R) {
 
 namespace {
 
+/// One function's share of a request: what processServeFunction produced
+/// for it, committed into the response in function order.
+struct FunctionPart {
+  ServeResponse Resp; ///< This function's streams, Degraded and exit code.
+  PipelineMetrics Metrics; ///< Its compile's metrics shard.
+  Profile Prof;
+  Function Optimized;
+  PreStats Stats;
+};
+
 /// One function of the request: the per-function body of every compile,
-/// local or served.
+/// local or served. Writes only \p F and \p Part (and the thread-safe
+/// cache), so a module's functions may run concurrently. Returns the
+/// exit code.
 int processServeFunction(Function &F, const ServeRequest &R,
-                         ParallelPreDriver &Driver, CompileCache *Cache,
-                         PipelineMetrics *Metrics,
-                         const ServeFunctionHook &Hook, ServeResponse &Resp) {
+                         CompileCache *Cache, PipelineMetrics *Metrics,
+                         FunctionPart &Part) {
+  ServeResponse &Resp = Part.Resp;
+  Profile &Prof = Part.Prof;
   prepareFunction(F);
 
   bool NeedsProfile = strategyNeedsProfile(R.Strategy);
-  Profile Prof;
   if (NeedsProfile && !R.ProfileText.empty()) {
     std::string Error;
     if (!parseProfile(R.ProfileText, Prof, Error)) {
@@ -337,12 +349,14 @@ int processServeFunction(Function &F, const ServeRequest &R,
   PO.Budget = R.Budget;
   PO.LospreMaxWidth = R.LospreMaxWidth;
   PO.Cache = Cache;
-  PreStats Stats;
-  PO.Stats = &Stats;
+  PO.Stats = &Part.Stats;
 
   CompileOutcomeRecord Outcome;
-  Function Optimized =
-      Driver.compileFunctionWithFallback(F, PO, Metrics, &Outcome);
+  Function &Optimized = Part.Optimized;
+  {
+    MetricsScope Scope(Metrics);
+    Optimized = compileWithFallback(F, PO, &Outcome);
+  }
   if (Outcome.degraded())
     Resp.Degraded = true;
   if (Outcome.degraded() || R.ReportOutcomes) {
@@ -366,7 +380,7 @@ int processServeFunction(Function &F, const ServeRequest &R,
 
   if (R.Emit)
     Resp.StdoutText += printFunction(Optimized);
-  return Hook ? Hook(F, Prof, Optimized, Stats, Resp) : 0;
+  return 0;
 }
 
 } // namespace
@@ -387,21 +401,37 @@ ServeResponse specpre::processServeRequest(const ServeRequest &R,
     return Resp;
   }
 
-  bool FoundAny = false;
-  for (Function &F : M->Functions) {
-    if (!R.OnlyFunction.empty() && F.Name != R.OnlyFunction)
-      continue;
-    FoundAny = true;
-    if (int Rc =
-            processServeFunction(F, R, Driver, Cache, Metrics, Hook, Resp)) {
-      Resp.ExitCode = Rc;
-      return Resp;
-    }
-  }
-  if (!FoundAny) {
+  std::vector<Function *> Selected;
+  for (Function &F : M->Functions)
+    if (R.OnlyFunction.empty() || F.Name == R.OnlyFunction)
+      Selected.push_back(&F);
+  if (Selected.empty()) {
     Resp.StderrText += "error: no function matched\n";
     Resp.ExitCode = 1;
+    return Resp;
   }
+
+  std::vector<FunctionPart> Parts(Selected.size());
+  Driver.fanOut(
+      Selected.size(),
+      [&](size_t I) {
+        FunctionPart &P = Parts[I];
+        P.Resp.ExitCode = processServeFunction(
+            *Selected[I], R, Cache, Metrics ? &P.Metrics : nullptr, P);
+      },
+      [&](size_t I) {
+        FunctionPart P = std::move(Parts[I]); // released by this commit
+        Resp.StdoutText += P.Resp.StdoutText;
+        Resp.StderrText += P.Resp.StderrText;
+        Resp.Degraded |= P.Resp.Degraded;
+        if (Metrics)
+          Metrics->merge(P.Metrics);
+        Resp.ExitCode = P.Resp.ExitCode;
+        if (!Resp.ExitCode && Hook)
+          Resp.ExitCode = Hook(*Selected[I], P.Prof, P.Optimized, P.Stats,
+                               Resp);
+        return Resp.ExitCode == 0;
+      });
   return Resp;
 }
 

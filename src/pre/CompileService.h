@@ -7,7 +7,7 @@
 /// \file
 /// The compilation service behind specpre-serve (docs/SERVING.md): a
 /// long-lived front end over the batch pipeline that lets many clients
-/// share one warm process — one work-stealing ThreadPool, one
+/// share one warm process — one ParallelPreDriver pool, one
 /// content-addressed CompileCache (memory LRU + shared disk tier) — so
 /// repeat compilations of the same function/profile/options are served
 /// from cache no matter which client asks.
@@ -22,14 +22,16 @@
 ///    specpre-opt run builds the same request and runs it through
 ///    processServeRequest too, which is what makes the daemon
 ///    bit-identical to a local run: the client just replays the streams.
+///    processServeRequest fans the module's functions out over the
+///    driver's pool, one function per thread, and commits their output
+///    in function order.
 ///
 ///  * CompileService — the request queue. submit() enqueues and returns
 ///    a future; a small pool of request workers dequeues and runs each
-///    request through ParallelPreDriver::compileFunctionWithFallback
-///    (full degradation ladder, budgets, metrics). Request workers only
-///    orchestrate — per-expression parallelism inside one compile still
-///    comes from the shared ThreadPool, which is safe to drive from
-///    several requests at once.
+///    request through processServeRequest (full degradation ladder,
+///    budgets, metrics). Request workers only orchestrate — a request's
+///    functions run on the shared driver pool, which is safe to drive
+///    from several requests at once.
 ///
 ///  * ServeServer — the socket front end: accept loop, per-connection
 ///    reader threads, frame dispatch ('P' ping, 'C' compile, 'S' stats),
@@ -132,8 +134,9 @@ std::string encodeServeResponse(const ServeResponse &R);
 bool decodeServeResponse(const std::string &Payload, ServeResponse &Out,
                          std::string &Error);
 
-/// A caller's extension of processServeRequest, run for each function
-/// after its output was appended to \p Resp. It sees the prepared input,
+/// A caller's extension of processServeRequest, run on the calling
+/// thread for each function, in function order, after its output was
+/// appended to \p Resp. It sees the prepared input,
 /// the profile the function was compiled under (empty for the
 /// profile-free strategies), the emitted function and its statistics. A
 /// nonzero return ends the request with that exit code. specpre-opt's
@@ -147,7 +150,10 @@ using ServeFunctionHook = std::function<int(
 /// prepare, train (or load the profile), compile through the ladder,
 /// report the outcome, run the GVN/cleanup/out-of-SSA post-passes and
 /// emit. This is both the daemon's request body and a local specpre-opt
-/// run, which adds its side channels through \p Hook.
+/// run, which adds its side channels through \p Hook. The functions run
+/// on \p Driver's pool; their output, metrics and hook calls are
+/// committed in function order, and the first nonzero exit code ends the
+/// request, so the response is the same at any job count.
 ServeResponse processServeRequest(const ServeRequest &R,
                                   ParallelPreDriver &Driver,
                                   CompileCache *Cache,
@@ -169,7 +175,8 @@ enum class IsolationMode {
 class CompileService {
 public:
   struct Config {
-    /// Compile-pipeline workers of the shared ThreadPool (0 = cores).
+    /// Workers of the shared driver pool, which compile a request's
+    /// functions concurrently (0 = cores).
     unsigned Jobs = 1;
     /// Concurrent requests in execution; queue beyond that.
     unsigned RequestWorkers = 2;

@@ -1,38 +1,22 @@
-//===- pre/ParallelDriver.h - Parallel PRE pipeline ------------*- C++ -*-===//
+//===- pre/ParallelDriver.h - Function-level parallel compiles -*- C++ -*-===//
 //
 // Part of the MC-SSAPRE reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel compilation pipeline: a ParallelPreDriver owns a
-/// work-stealing pool (support/ThreadPool.h) and hands it to the one
-/// pipeline in pre/PreDriver.h. Two levels of fan-out:
+/// The one level of parallelism in a compile: a ParallelPreDriver owns a
+/// work-stealing pool (support/ThreadPool.h) and fans whole functions out
+/// over it. One function compiles on one thread, start to finish, through
+/// the pipeline of pre/PreDriver.h, into its own part (output, statistics
+/// and metrics shards); the parts are committed on the calling thread in
+/// function order. So `--jobs=N` produces output bit-identical to
+/// `--jobs=1`, which tests/parallel_driver_test.cpp asserts over the
+/// generated corpus (docs/PARALLELISM.md).
 ///
-///  * corpus level — independent functions compile concurrently, each
-///    accumulating into a private PreStats shard; shards are stamped
-///    with the function index and merged in (function, expression)
-///    order, so the merged records equal the serial sequence exactly;
-///
-///  * expression level — the per-expression loop of the SSA strategies
-///    takes the pool: capturePlacements computes every candidate's
-///    placement (FRG build, data flow, reduction, min cut / DownSafety)
-///    concurrently against the *pre-motion* function, and the loop then
-///    commits serially in candidate order, rebuilding each FRG against
-///    the current function (statement indices shift as earlier commits
-///    insert saves and reloads) and transferring the captured
-///    WillBeAvail/Insert decisions onto it. This is sound because
-///    distinct candidate expressions have independent FRGs: code motion
-///    for one key only introduces fresh temporaries, copies and phis of
-///    those temporaries, and never adds, removes or re-kills occurrences
-///    of another key (docs/PARALLELISM.md). Should a rebuilt FRG ever
-///    differ structurally, the loop places it again itself, so the output
-///    is bit-identical to the pool-less pipeline in all cases.
-///
-/// Every rung of the degradation ladder runs with the pool. The
-/// determinism guarantee — `--jobs=N` produces bit-identical IR and
-/// PreStats to `--jobs=1` — is asserted over the generated corpus by
-/// tests/parallel_driver_test.cpp.
+/// fanOut is the one place that drives the pool. Its two users are
+/// compileCorpus below and processServeRequest (pre/CompileService.h),
+/// which fans out a module's functions for specpre-opt and the daemon.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,30 +53,23 @@ public:
 
   unsigned jobs() const;
 
-  /// compileWithPre on this driver's pool, under Opts.Budget. Stats go
-  /// to Opts.Stats as in the serial driver. \p Metrics, when set,
-  /// receives the pipeline step timings of this compile.
-  Function compileFunction(const Function &Prepared, const PreOptions &Opts,
-                           PipelineMetrics *Metrics = nullptr);
+  /// Runs Body(I) for every I in [0, N), on the pool when there is one,
+  /// and Commit(I) on the calling thread in index order; a Commit that
+  /// returns false stops the walk. Each Body(I) must write only its own
+  /// part. Without a pool, each Body(I) is followed directly by Commit(I),
+  /// so nothing past a stop runs. With one, all bodies run first, and an
+  /// exception from Body(I) is rethrown in place of Commit(I).
+  void fanOut(size_t N, const std::function<void(size_t)> &Body,
+              const std::function<bool(size_t)> &Commit);
 
-  /// compileWithFallback on this driver's pool, recording into
-  /// \p Metrics (step timings and robustness counters) when set: the same
-  /// ladder walk, cache protocol and outcome as the serial entry, and
-  /// bit-identical results.
-  Function
-  compileFunctionWithFallback(const Function &Prepared, const PreOptions &Opts,
-                              PipelineMetrics *Metrics = nullptr,
-                              CompileOutcomeRecord *OutcomeOut = nullptr);
-
-  /// Compiles a whole corpus, fanning functions (and expressions within
-  /// them) across the pool. Results are positionally aligned with
-  /// \p Tasks. \p MergedStats, when set, receives every function's
-  /// records merged in (function, expression) order — bit-identical to
-  /// a serial loop over compileWithPre.
-  ///
-  /// Each task compiles through compileFunctionWithFallback, so one
-  /// failing function degrades (worst case to identity) without taking
-  /// down the batch or perturbing any other task's output.
+  /// Compiles a whole corpus through compileWithFallback, one function
+  /// per thread, so one failing function degrades (worst case to
+  /// identity) without taking down the batch or perturbing any other
+  /// task's output. Results are positionally aligned with \p Tasks.
+  /// \p MergedStats, when set, receives every function's records merged
+  /// in (function, expression) order, and \p Metrics every function's
+  /// step timings and robustness counters: both bit-identical to a
+  /// serial loop.
   std::vector<Function> compileCorpus(const std::vector<CompileTask> &Tasks,
                                       PreStats *MergedStats,
                                       PipelineMetrics *Metrics = nullptr);
@@ -101,42 +78,6 @@ private:
   ParallelConfig Config;
   std::unique_ptr<ThreadPool> Pool;
 };
-
-/// One candidate's placement as computed against the pre-motion function:
-/// the decisions, indexed like the FRG they were computed on, plus the
-/// structural fingerprint the commit checks before reusing them.
-struct ExprPlacement {
-  bool HasReals = false;
-  std::vector<char> PhiWillBeAvail;
-  std::vector<char> PhiInReducedGraph; ///< needed for SprReloadedFreq stats
-  std::vector<char> OperandInsert;     ///< flattened over phis' operands
-  std::vector<BlockId> PhiBlocks;
-  std::vector<unsigned> OperandCounts;
-  unsigned NumReals = 0;
-  /// The placement's statistics record (FRG/EFG sizes; the commit adds
-  /// the finalize counts).
-  ExprStatsRecord Rec;
-};
-
-/// Places candidate EI's FRG and returns its statistics record.
-using PlaceExprFn = std::function<ExprStatsRecord(Frg &, unsigned EI)>;
-
-/// The parallel pre-pass of the per-expression loop: builds every
-/// candidate's FRG against \p F and runs \p Place on it, concurrently on
-/// \p Pool, capturing the decisions. Everything read is const and shared;
-/// the calling thread's budget and metrics sink are re-installed on the
-/// pool threads (metrics into per-candidate shards merged in candidate
-/// order). A throwing placement is rethrown here, smallest index first.
-std::vector<ExprPlacement> capturePlacements(ThreadPool &Pool,
-                                             const Function &F, const Cfg &C,
-                                             const DomTree &DT,
-                                             const std::vector<ExprKey> &Exprs,
-                                             const PlaceExprFn &Place);
-
-/// Transfers \p P's decisions onto \p G, an FRG rebuilt for the same
-/// candidate. Returns false, leaving \p G untouched, if \p G is not
-/// structurally identical to the FRG \p P was computed on.
-bool transferPlacement(Frg &G, const ExprPlacement &P);
 
 } // namespace specpre
 

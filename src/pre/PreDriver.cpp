@@ -19,7 +19,6 @@
 #include "pre/Lospre.h"
 #include "pre/McPre.h"
 #include "pre/McSsaPre.h"
-#include "pre/ParallelDriver.h"
 #include "pre/SsaPre.h"
 #include "support/PassTimer.h"
 #include "interp/Interpreter.h"
@@ -66,31 +65,15 @@ void specpre::prepareFunction(Function &F) {
 
 namespace {
 
-/// Runs the IR verifier; on failure either records the failure in
-/// Opts.VerifyErrorOut and returns false so the caller can unwind (the
-/// transformed function is in an undefined state), or — with no error
-/// sink — throws StatusException(VerifyFailed), which the degradation
-/// ladder converts into a retry on a cheaper strategy.
-bool verifyOrReport(const Function &F, const PreOptions &Opts,
-                    const std::string &Context) {
+/// Runs the IR verifier on \p F. A failure throws
+/// StatusException(VerifyFailed), like a Definition-1 oracle violation,
+/// which the degradation ladder converts into a retry on a cheaper
+/// strategy.
+void verifyOrThrow(const Function &F, const std::string &Context) {
   std::string Error;
-  if (verifyFunction(F, Error))
-    return true;
-  if (Opts.VerifyErrorOut) {
-    *Opts.VerifyErrorOut = "IR verification failed " + Context + ": " + Error;
-    return false;
-  }
-  throw StatusException(ErrorCode::VerifyFailed,
-                        "IR verification failed " + Context + ": " + Error);
-}
-
-/// Same reporting policy for the Definition-1 availability oracle.
-bool reportOracleFailure(const PreOptions &Opts, const std::string &Message) {
-  if (Opts.VerifyErrorOut) {
-    *Opts.VerifyErrorOut = Message;
-    return false;
-  }
-  throw StatusException(ErrorCode::VerifyFailed, Message);
+  if (!verifyFunction(F, Error))
+    throw StatusException(ErrorCode::VerifyFailed,
+                          "IR verification failed " + Context + ": " + Error);
 }
 
 /// Leg D's whole-function gate: Krause's linear-time construction
@@ -162,9 +145,8 @@ ExprStatsRecord placeExpression(Frg &G, unsigned EI, const PreOptions &Opts,
 
 /// The commit step of candidate \p EI, whose placement is on \p G:
 /// finalize (and its statistics into \p Rec), code motion, and under
-/// Opts.Verify the IR verifier and the Definition-1 oracle. Returns false
-/// when a verification failure was reported through Opts.VerifyErrorOut.
-bool commitExpression(Function &F, Frg &G, unsigned EI,
+/// Opts.Verify the IR verifier and the Definition-1 oracle.
+void commitExpression(Function &F, Frg &G, unsigned EI,
                       const PreOptions &Opts, ExprStatsRecord &Rec) {
   FinalizePlan Plan = finalizePlacement(G);
   for (const RealOcc &R : G.reals()) {
@@ -193,32 +175,25 @@ bool commitExpression(Function &F, Frg &G, unsigned EI,
   }
 
   if (!Plan.hasAnyEffect())
-    return true;
+    return;
   VarId Temp = F.makeFreshVar("pre.tmp." + std::to_string(EI));
   applyCodeMotion(F, G, Plan, Temp);
   if (!Opts.Verify)
-    return true;
-  if (!verifyOrReport(F, Opts,
-                      "after PRE of '" + Rec.Expr + "' with " +
-                          strategyName(Opts.Strategy)))
-    return false;
+    return;
+  verifyOrThrow(F, "after PRE of '" + Rec.Expr + "' with " +
+                       strategyName(Opts.Strategy));
   std::vector<std::pair<ExprKey, VarId>> TempMap{{G.expr(), Temp}};
   std::string Error;
-  if (checkReloadsFullyAvailable(F, TempMap, Error))
-    return true;
-  return reportOracleFailure(Opts, "Definition-1 correctness violated by " +
-                                       std::string(strategyName(
-                                           Opts.Strategy)) +
-                                       ": " + Error);
+  if (!checkReloadsFullyAvailable(F, TempMap, Error))
+    throw StatusException(ErrorCode::VerifyFailed,
+                          "Definition-1 correctness violated by " +
+                              std::string(strategyName(Opts.Strategy)) +
+                              ": " + Error);
 }
 
-/// The per-expression loop of the SSA strategies. Without a pool each
-/// candidate's placement is computed on the FRG the loop builds; with
-/// one, all placements are computed concurrently up front against the
-/// pre-motion function and the loop transfers them onto its FRG. Either
-/// way the commits run here, serially in candidate order, so the output
-/// is the same bit for bit (docs/PARALLELISM.md).
-void runSsaStrategies(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
+/// The per-expression loop of the SSA strategies: per candidate, build
+/// its FRG against the current function, place, commit.
+void runSsaStrategies(Function &F, const PreOptions &Opts) {
   assert(F.IsSSA && "SSA strategies require SSA form");
   Cfg C(F);
   DomTree DT = DomTree::buildDominators(C);
@@ -231,34 +206,21 @@ void runSsaStrategies(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
   // rewrites (reloads keep the destination, temps are fresh variables),
   // so it is computed once up front for all candidates.
   LexicalDataFlow LDF = solveLexicalDataFlow(F, C, Exprs);
-  auto Place = [&](Frg &G, unsigned EI) {
-    return placeExpression(G, EI, Opts, LDF, LI);
-  };
-  std::vector<ExprPlacement> Placed;
-  if (Pool)
-    Placed = capturePlacements(*Pool, F, C, DT, Exprs, Place);
-
   for (unsigned EI = 0; EI != Exprs.size(); ++EI) {
-    if (Pool && !Placed[EI].HasReals)
-      continue;
     Frg G(F, C, DT, Exprs[EI]);
     if (G.reals().empty())
       continue;
-    // Earlier commits only shift statement indices, which the rebuild
-    // refreshes; should the structure ever differ, placing again here
-    // keeps the commit serial-identical.
-    ExprStatsRecord Rec = Pool && transferPlacement(G, Placed[EI])
-                              ? std::move(Placed[EI].Rec)
-                              : Place(G, EI);
+    ExprStatsRecord Rec = placeExpression(G, EI, Opts, LDF, LI);
     CrashContext ExprFrame("expression", Rec.Expr);
-    if (!commitExpression(F, G, EI, Opts, Rec))
-      return;
+    commitExpression(F, G, EI, Opts, Rec);
     if (Opts.Stats)
       Opts.Stats->addRecord(std::move(Rec));
   }
 }
 
-void runPreWith(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
+} // namespace
+
+void specpre::runPre(Function &F, const PreOptions &Opts) {
   switch (Opts.Strategy) {
   case PreStrategy::None:
     return;
@@ -266,7 +228,7 @@ void runPreWith(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
   case PreStrategy::SsaPreSpec:
   case PreStrategy::McSsaPre:
   case PreStrategy::Lospre:
-    runSsaStrategies(F, Opts, Pool);
+    runSsaStrategies(F, Opts);
     return;
   case PreStrategy::McPre: {
     assert(Opts.Prof && "MC-PRE requires a profile");
@@ -275,26 +237,20 @@ void runPreWith(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
                            : Opts.Prof->withEstimatedEdgeFreqs(F);
     runMcPre(F, EdgeProf, Opts.Stats, Opts.Placement);
     if (Opts.Verify)
-      verifyOrReport(F, Opts, "after MC-PRE");
+      verifyOrThrow(F, "after MC-PRE");
     return;
   }
   case PreStrategy::Lcm:
     runLcm(F, Opts.Stats);
     if (Opts.Verify)
-      verifyOrReport(F, Opts, "after LCM");
+      verifyOrThrow(F, "after LCM");
     return;
   }
   SPECPRE_UNREACHABLE("bad strategy");
 }
 
-} // namespace
-
-void specpre::runPre(Function &F, const PreOptions &Opts) {
-  runPreWith(F, Opts, nullptr);
-}
-
 Function specpre::compileWithPre(const Function &Prepared,
-                                 const PreOptions &Opts, ThreadPool *Pool) {
+                                 const PreOptions &Opts) {
   assert(!Prepared.IsSSA && "compileWithPre expects prepared non-SSA input");
   Function F = Prepared;
   if (Opts.Strategy == PreStrategy::SsaPre ||
@@ -302,7 +258,7 @@ Function specpre::compileWithPre(const Function &Prepared,
       Opts.Strategy == PreStrategy::McSsaPre ||
       Opts.Strategy == PreStrategy::Lospre)
     constructSsa(F);
-  runPreWith(F, Opts, Pool);
+  runPre(F, Opts);
   return F;
 }
 
@@ -353,7 +309,7 @@ namespace {
 /// The degradation-ladder walk itself, cache-oblivious; the public
 /// compileWithFallback wraps it in the cache protocol.
 Function walkLadder(const Function &Prepared, const PreOptions &Opts,
-                    ThreadPool *Pool, CompileOutcomeRecord *OutcomeOut) {
+                    CompileOutcomeRecord *OutcomeOut) {
   assert(!Prepared.IsSSA &&
          "compileWithFallback expects prepared non-SSA input");
   CrashContext FnFrame("function", Prepared.Name);
@@ -385,10 +341,8 @@ Function walkLadder(const Function &Prepared, const PreOptions &Opts,
     CrashContext RungFrame("strategy", strategyName(Rung));
     PreOptions RungOpts = Opts;
     RungOpts.Strategy = Rung;
-    // Route verification failures through the exception path so the
-    // ladder sees them uniformly, and isolate the rung's statistics so
-    // an abandoned rung leaves no partial records behind.
-    RungOpts.VerifyErrorOut = nullptr;
+    // Isolate the rung's statistics so an abandoned rung leaves no
+    // partial records behind.
     PreStats RungStats;
     RungOpts.Stats = Opts.Stats ? &RungStats : nullptr;
 
@@ -398,7 +352,7 @@ Function walkLadder(const Function &Prepared, const PreOptions &Opts,
       // starved by the expensive attempt that preceded it.
       Tracker.reset();
       BudgetScope Scope(Budgeted ? &Tracker : nullptr);
-      Function F = compileWithPre(Prepared, RungOpts, Pool);
+      Function F = compileWithPre(Prepared, RungOpts);
       Failure = checkObservableEquivalence(Prepared, F, Opts);
       if (Failure.isOk()) {
         Outcome.Used = strategyName(Rung);
@@ -433,12 +387,6 @@ Function walkLadder(const Function &Prepared, const PreOptions &Opts,
 
 Function specpre::compileWithFallback(const Function &Prepared,
                                       const PreOptions &Opts,
-                                      CompileOutcomeRecord *OutcomeOut,
-                                      ThreadPool *Pool) {
-  return compileThroughCache(
-      Prepared, Opts, OutcomeOut,
-      [Pool](const Function &P, const PreOptions &O,
-             CompileOutcomeRecord *Out) {
-        return walkLadder(P, O, Pool, Out);
-      });
+                                      CompileOutcomeRecord *OutcomeOut) {
+  return compileThroughCache(Prepared, Opts, OutcomeOut, walkLadder);
 }

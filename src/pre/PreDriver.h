@@ -23,10 +23,9 @@
 /// The SSA strategies run on SSA form; MC-PRE runs on non-SSA form.
 ///
 /// There is one per-expression loop for the SSA strategies and one
-/// degradation-ladder walk. Both take an optional ThreadPool: without
-/// one they are the serial pipeline; with one, the per-expression
-/// placements are computed concurrently up front and committed by the
-/// same loop (pre/ParallelDriver.h, docs/PARALLELISM.md).
+/// degradation-ladder walk, and one function compiles on one thread:
+/// every parallel compile fans out whole functions instead
+/// (pre/ParallelDriver.h, docs/PARALLELISM.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +46,6 @@
 namespace specpre {
 
 class CompileCache;
-class ThreadPool;
 
 enum class PreStrategy {
   None,       ///< No PRE at all (sanity baseline).
@@ -80,17 +78,10 @@ struct PreOptions {
   /// CutObjective::size() explores the Section-6 code-size direction.
   CutObjective Objective = CutObjective::speed();
   /// Run the IR verifier and the Definition-1 availability oracle on the
-  /// transformed function (aborts on violation unless VerifyErrorOut is
-  /// set).
-  bool Verify = true;
-  /// When non-null, a verification failure is described here and the run
-  /// stops instead of raising an error. The fuzzer uses this so a
-  /// failing case can be delta-reduced in-process. Only written on
-  /// failure; callers pass an empty string and test for non-emptiness.
-  /// When null, a verification failure throws StatusException
-  /// (ErrorCode::VerifyFailed) instead, which compileWithFallback
+  /// transformed function. A violation throws
+  /// StatusException(ErrorCode::VerifyFailed), which compileWithFallback
   /// converts into a retry on the next ladder rung.
-  std::string *VerifyErrorOut = nullptr;
+  bool Verify = true;
   /// Statistics sink (may be null).
   PreStats *Stats = nullptr;
   /// Resource limits for one function's compilation (default: none).
@@ -108,9 +99,8 @@ struct PreOptions {
   /// time and table memory). Only consulted when Strategy == Lospre;
   /// part of the compilation cache key there.
   unsigned LospreMaxWidth = 8;
-  /// Content-addressed compilation cache consulted by compileWithFallback
-  /// (and so by the parallel driver's compileFunctionWithFallback); see
-  /// pre/CachedCompile.h for the protocol and docs/CACHING.md for the
+  /// Content-addressed compilation cache consulted by compileWithFallback;
+  /// see pre/CachedCompile.h for the protocol and docs/CACHING.md for the
   /// design. Null (the default) compiles uncached.
   CompileCache *Cache = nullptr;
 };
@@ -120,17 +110,15 @@ struct PreOptions {
 /// critical edges. Must run before profile collection so block ids match.
 void prepareFunction(Function &F);
 
-/// Runs the selected PRE strategy over a prepared function, serially. For
+/// Runs the selected PRE strategy over a prepared function. For
 /// the SSA strategies, \p F must already be in SSA form (see
 /// constructSsa); for McPre it must not be. Mutates F in place.
 void runPre(Function &F, const PreOptions &Opts);
 
 /// Convenience: takes a *prepared, non-SSA* function, builds SSA if the
 /// strategy requires it, and runs PRE. Returns the optimized function,
-/// leaving the input untouched. With \p Pool, the SSA strategies place
-/// their candidates concurrently; the result is bit-identical either way.
-Function compileWithPre(const Function &Prepared, const PreOptions &Opts,
-                        ThreadPool *Pool = nullptr);
+/// leaving the input untouched.
+Function compileWithPre(const Function &Prepared, const PreOptions &Opts);
 
 /// The retry sequence compileWithFallback walks when \p Requested fails,
 /// most capable first, ending in PreStrategy::None (the identity rung,
@@ -153,11 +141,11 @@ Status checkObservableEquivalence(const Function &Prepared,
 /// strategy under Opts.Budget, and on any recoverable failure (injected
 /// fault, budget exhaustion, verification failure, recoverable internal
 /// error, or a contained non-Status exception as worker-failed) retries
-/// down the degradation ladder. Each rung restarts with a fresh budget,
-/// runs with \p Pool when one is given, and is accepted only if the
-/// verifier (and, when EquivalenceInputs is set, interpreter equivalence
-/// with the input) passes. Never fails: the identity rung returns the
-/// input unchanged. Consults Opts.Cache (pre/CachedCompile.h).
+/// down the degradation ladder. Each rung restarts with a fresh budget
+/// and is accepted only if the verifier (and, when EquivalenceInputs is
+/// set, interpreter equivalence with the input) passes. Never fails: the
+/// identity rung returns the input unchanged. Consults Opts.Cache
+/// (pre/CachedCompile.h).
 ///
 /// The outcome (rung used, retries, first failure) is written to
 /// \p OutcomeOut when non-null and recorded in Opts.Stats when set.
@@ -171,8 +159,7 @@ Status checkObservableEquivalence(const Function &Prepared,
 /// rung; ladder_retries, rungs abandoned; worker_failures, rungs
 /// abandoned because of a worker-failed exception.
 Function compileWithFallback(const Function &Prepared, const PreOptions &Opts,
-                             CompileOutcomeRecord *OutcomeOut = nullptr,
-                             ThreadPool *Pool = nullptr);
+                             CompileOutcomeRecord *OutcomeOut = nullptr);
 
 } // namespace specpre
 

@@ -28,10 +28,11 @@
 /// treats exactly like a real recoverable failure.
 ///
 /// Determinism: each (site, hit-counter) pair is hashed with the seed,
-/// so a serial run replays bit-identically. Under the parallel driver
-/// the per-site counters are still atomic and totals are stable, but
-/// which expression observes hit #k depends on scheduling; see
-/// docs/ROBUSTNESS.md.
+/// and one function compiles on one thread, so a function's compile
+/// replays bit-identically at any `--jobs`. The per-site counters are
+/// atomic and shared, so in a module of several functions compiled
+/// concurrently, only which function observes hit #k depends on
+/// scheduling; see docs/ROBUSTNESS.md.
 ///
 /// When no spec is armed (the default), maybeInject() is a single
 /// relaxed atomic load of a null pointer — cheap enough to leave the

@@ -11,15 +11,15 @@
 /// [0, N) is split into one contiguous strip per worker; each participant
 /// pops indices from the front of its own strip and, when it runs dry,
 /// steals the back half of a victim's remaining range. The calling
-/// thread always participates, so nested parallelFor calls (a corpus
-/// task fanning out its expressions) cannot deadlock: the inner caller
-/// drains its own job even when every pool thread is busy elsewhere.
+/// thread always participates, so nested parallelFor calls cannot
+/// deadlock: the inner caller drains its own job even when every pool
+/// thread is busy elsewhere.
 ///
 /// Determinism contract: the pool itself makes no ordering promises —
 /// which thread runs which index is racy by design. Callers obtain
 /// deterministic results by writing each index's output into its own
 /// slot and reducing the slots in index order afterwards (see
-/// pre/ParallelDriver.cpp and docs/PARALLELISM.md).
+/// ParallelPreDriver::fanOut and docs/PARALLELISM.md).
 ///
 //===----------------------------------------------------------------------===//
 

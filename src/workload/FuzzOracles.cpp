@@ -96,6 +96,22 @@ std::string joinArgs(const std::vector<int64_t> &Args) {
   return S;
 }
 
+/// compileWithPre into \p Out, with the verification failures a fuzz case
+/// reports as the `verifier(<leg>)` oracle: their message is returned,
+/// and any other error is rethrown.
+std::optional<std::string> compileVerified(const Function &Prepared,
+                                           const PreOptions &PO,
+                                           Function &Out) {
+  try {
+    Out = compileWithPre(Prepared, PO);
+  } catch (const StatusException &E) {
+    if (E.status().code() != ErrorCode::VerifyFailed)
+      throw;
+    return E.status().message();
+  }
+  return std::nullopt;
+}
+
 /// One strategy's compile + training-input run, with non-fatal verify.
 struct StrategyRun {
   Function Opt;
@@ -119,12 +135,9 @@ runStrategy(const Function &Prepared, PreStrategy S, const Profile *Prof,
     // tripped verifier or injected fault degrades instead of failing the
     // case. Semantic equivalence below still gates whatever rung landed.
     Out.Opt = compileWithFallback(Prepared, PO, &Out.Outcome);
-  } else {
-    std::string VErr;
-    PO.VerifyErrorOut = &VErr;
-    Out.Opt = compileWithPre(Prepared, PO);
-    if (!VErr.empty())
-      return fail(std::string("verifier(") + Name + ")", VErr);
+  } else if (std::optional<std::string> VErr =
+                 compileVerified(Prepared, PO, Out.Opt)) {
+    return fail(std::string("verifier(") + Name + ")", *VErr);
   }
 
   Out.TrainResult = interpret(Out.Opt, TrainArgs);
@@ -422,12 +435,10 @@ std::optional<OracleFailure> specpre::checkStoredProfileOracles(
     PO.Prof = L.P;
     PreStats Stats;
     PO.Stats = &Stats;
-    std::string VErr;
-    PO.VerifyErrorOut = &VErr;
-    Function Opt = compileWithPre(Prepared, PO);
+    Function Opt;
     const char *Name = strategyName(L.S);
-    if (!VErr.empty())
-      return fail(std::string("verifier(") + Name + ")", VErr);
+    if (std::optional<std::string> VErr = compileVerified(Prepared, PO, Opt))
+      return fail(std::string("verifier(") + Name + ")", *VErr);
     for (const std::vector<int64_t> &Args : Inputs) {
       ExecResult Ref = interpret(Prepared, Args);
       if (Ref.TimedOut)

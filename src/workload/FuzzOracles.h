@@ -9,8 +9,8 @@
 /// test. A fuzz case is a deterministically generated program (or a
 /// reproducer read back from tests/corpus/); the oracles check, per case:
 ///
-///  * IR verification after every transforming pass (non-fatal, via
-///    PreOptions::VerifyErrorOut),
+///  * IR verification after every transforming pass (non-fatal: the
+///    VerifyFailed error is reported as the case's failure),
 ///  * semantic equivalence of every strategy's output against the
 ///    unoptimized program under the interpreter (training input plus
 ///    variant inputs),

@@ -168,9 +168,9 @@ TEST(Golden, AllProgramsAllLegs) {
 }
 
 /// The snapshots must also be reachable through the fault-isolated
-/// parallel corpus pipeline — same printed IR, no degradations. This is
-/// the path specpre-opt --jobs=N takes, so the goldens pin the tool's
-/// output too.
+/// ladder walk, compileWithFallback — same printed IR, no degradations.
+/// Every specpre-opt and daemon compile takes that path, one function per
+/// thread at any --jobs, so the goldens pin the tools' output too.
 TEST(Golden, SerialFallbackMatchesDirectCompile) {
   for (const Subject &S : subjects()) {
     Profile Prof;

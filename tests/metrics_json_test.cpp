@@ -186,27 +186,37 @@ private:
   bool Ok = true;
 };
 
-/// Runs one generated program through PRE with metrics collection.
+/// Runs a corpus of generated programs through PRE with metrics
+/// collection, on a \p Jobs-worker driver.
 PipelineMetrics collectMetrics(PreStrategy Strategy, unsigned Jobs) {
-  GeneratorConfig Cfg;
-  Function F = generateProgram(19, Cfg, "metrics");
-  prepareFunction(F);
-  Profile Prof;
-  ExecOptions EO;
-  EO.CollectProfile = &Prof;
-  std::vector<int64_t> Args(F.Params.size(), 11);
-  interpret(F, Args, EO);
-  Profile NodeOnly = Prof.withoutEdgeFreqs();
+  std::vector<Function> Fns;
+  std::vector<Profile> Profs, NodeOnly;
+  for (uint64_t Seed : {19u, 23u, 29u, 31u}) {
+    GeneratorConfig Cfg;
+    Function F = generateProgram(Seed, Cfg, "metrics" + std::to_string(Seed));
+    prepareFunction(F);
+    Profile Prof;
+    ExecOptions EO;
+    EO.CollectProfile = &Prof;
+    std::vector<int64_t> Args(F.Params.size(), 11);
+    interpret(F, Args, EO);
+    NodeOnly.push_back(Prof.withoutEdgeFreqs());
+    Profs.push_back(std::move(Prof));
+    Fns.push_back(std::move(F));
+  }
 
-  PreOptions PO;
-  PO.Strategy = Strategy;
-  PO.Prof = Strategy == PreStrategy::McPre ? &Prof : &NodeOnly;
-
+  std::vector<CompileTask> Tasks;
+  for (size_t I = 0; I != Fns.size(); ++I) {
+    PreOptions PO;
+    PO.Strategy = Strategy;
+    PO.Prof = Strategy == PreStrategy::McPre ? &Profs[I] : &NodeOnly[I];
+    Tasks.push_back({&Fns[I], PO});
+  }
   ParallelConfig PC;
   PC.Jobs = Jobs;
   ParallelPreDriver Driver(PC);
   PipelineMetrics M;
-  Driver.compileFunction(F, PO, &M);
+  Driver.compileCorpus(Tasks, nullptr, &M);
   return M;
 }
 
@@ -300,15 +310,16 @@ TEST(MetricsJson, McSsaPreExercisesItsSteps) {
 }
 
 TEST(MetricsJson, ParallelCollectionLosesNothing) {
-  // Exact counters (invocations) must agree between jobs=1 and jobs=4 for
-  // the steps the transfer scheme runs once per candidate.
+  // Each function compiles on one thread, so every step's invocation
+  // count is exact: jobs=4 agrees with jobs=1 on all of them.
   PipelineMetrics Serial = collectMetrics(PreStrategy::McSsaPre, 1);
   PipelineMetrics Parallel = collectMetrics(PreStrategy::McSsaPre, 4);
-  for (PipelineStep S : {PipelineStep::DataFlow, PipelineStep::Reduction,
-                         PipelineStep::MinCut, PipelineStep::Finalize,
-                         PipelineStep::CodeMotion})
+  ASSERT_GT(Serial.step(PipelineStep::PhiInsertion).Invocations, 0u);
+  for (unsigned Step = 0; Step != NumPipelineSteps; ++Step) {
+    PipelineStep S = static_cast<PipelineStep>(Step);
     EXPECT_EQ(Serial.step(S).Invocations, Parallel.step(S).Invocations)
         << pipelineStepName(S);
+  }
 }
 
 TEST(MetricsJson, MergeSumsShards) {

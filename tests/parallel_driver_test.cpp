@@ -1,14 +1,15 @@
 //===- tests/parallel_driver_test.cpp - Parallel pipeline determinism ----------===//
 //
 // The determinism differential battery for the parallel PRE pipeline.
-// There is one pipeline, and a pool only changes where each candidate's
-// placement is computed: in a concurrent pre-pass against the
-// pre-motion function instead of inside the per-expression loop. The
-// whole generated corpus runs through the pool-less pipeline
-// (compileWithPre) and through ParallelPreDriver at --jobs=4, and the
-// outputs must match bit-identically — printed IR, interpreter dynamic
-// counts, and the merged PreStats record sequence — for all six
-// strategies. Plus unit tests of the work-stealing ThreadPool itself.
+// There is one pipeline, and the pool only decides which thread compiles
+// which function: each function compiles on one thread and the driver
+// commits the results in function order. The whole generated corpus runs
+// through the pool-less pipeline (compileWithPre) and through
+// ParallelPreDriver::compileCorpus at --jobs=4, and the outputs must
+// match bit-identically — printed IR, interpreter dynamic counts, the
+// merged PreStats record sequence and every step's invocation count —
+// for all six strategies. Plus unit tests of the work-stealing
+// ThreadPool itself and of the driver's ordered fan-out.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 
 using namespace specpre;
 
@@ -162,7 +165,7 @@ TEST_P(ParallelDifferential, BitIdenticalToSerialOnCorpus) {
     SerialStats.merge(Shard);
   }
 
-  // Parallel: 4 workers, functions and expressions fanned out.
+  // Parallel: 4 workers, functions fanned out.
   ParallelConfig PC;
   PC.Jobs = 4;
   ParallelPreDriver Driver(PC);
@@ -226,29 +229,31 @@ INSTANTIATE_TEST_SUITE_P(
 // noise must never leak into the output), at several worker counts.
 TEST(ParallelDriver, StableAcrossRunsAndWorkerCounts) {
   std::vector<CorpusProgram> Corpus = buildCorpus();
-  const CorpusProgram &P = Corpus[0];
+  std::vector<CompileTask> Tasks;
+  for (unsigned I = 0; I != 4; ++I)
+    Tasks.push_back(
+        {&Corpus[I].Prepared, optionsFor(Corpus[I], PreStrategy::McSsaPre)});
 
-  std::string Reference;
+  std::vector<std::string> Reference;
   for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
     ParallelConfig PC;
     PC.Jobs = Jobs;
     ParallelPreDriver Driver(PC);
     for (int Round = 0; Round != 3; ++Round) {
       PreStats Stats;
-      PreOptions PO = optionsFor(P, PreStrategy::McSsaPre);
-      PO.Stats = &Stats;
-      Function Opt = Driver.compileFunction(P.Prepared, PO);
-      std::string Ir = printFunction(Opt);
+      std::vector<std::string> Ir;
+      for (const Function &F : Driver.compileCorpus(Tasks, &Stats))
+        Ir.push_back(printFunction(F));
       if (Reference.empty())
         Reference = Ir;
-      ASSERT_EQ(Ir, Reference)
-          << "jobs=" << Jobs << " round " << Round;
+      ASSERT_EQ(Ir, Reference) << "jobs=" << Jobs << " round " << Round;
     }
   }
 }
 
-// The per-expression fan-out also feeds the metrics sink shard-safely:
-// invocation counts are exact (they are not wall-clock-dependent).
+// Every function compiles on one thread, so the metrics sink sees each
+// step exactly as often as in a serial compile: invocation counts are
+// exact (they are not wall-clock-dependent) at any worker count.
 TEST(ParallelDriver, MetricsInvocationCountsMatchSerial) {
   std::vector<CorpusProgram> Corpus = buildCorpus();
 
@@ -267,25 +272,67 @@ TEST(ParallelDriver, MetricsInvocationCountsMatchSerial) {
     return Counts;
   };
 
-  // jobs=1 has no pool (one FRG build per expression); jobs=4 places in
-  // the pre-pass and then commits (two builds per expression with reals,
-  // one for real-less candidates) — so the placement-step counts must
-  // match exactly and the FRG counts must bracket the serial ones.
   std::vector<uint64_t> Serial = CountsFor(1);
   std::vector<uint64_t> Parallel = CountsFor(4);
-  auto At = [](const std::vector<uint64_t> &V, PipelineStep S) {
-    return V[static_cast<unsigned>(S)];
-  };
-  EXPECT_EQ(At(Serial, PipelineStep::DataFlow),
-            At(Parallel, PipelineStep::DataFlow));
-  EXPECT_EQ(At(Serial, PipelineStep::MinCut),
-            At(Parallel, PipelineStep::MinCut));
-  EXPECT_EQ(At(Serial, PipelineStep::Finalize),
-            At(Parallel, PipelineStep::Finalize));
-  EXPECT_EQ(At(Serial, PipelineStep::CodeMotion),
-            At(Parallel, PipelineStep::CodeMotion));
-  EXPECT_GE(At(Parallel, PipelineStep::PhiInsertion),
-            At(Serial, PipelineStep::PhiInsertion));
-  EXPECT_LE(At(Parallel, PipelineStep::PhiInsertion),
-            2 * At(Serial, PipelineStep::PhiInsertion));
+  ASSERT_GT(Serial[static_cast<unsigned>(PipelineStep::PhiInsertion)], 0u);
+  for (unsigned S = 0; S != NumPipelineSteps; ++S)
+    EXPECT_EQ(Serial[S], Parallel[S])
+        << pipelineStepName(static_cast<PipelineStep>(S));
+}
+
+//===----------------------------------------------------------------------===//
+// The ordered fan-out
+//===----------------------------------------------------------------------===//
+
+// Commits run on the calling thread in index order, whatever order the
+// bodies finish in, and a commit that returns false stops the walk.
+TEST(ParallelDriver, FanOutCommitsInOrderAndStops) {
+  for (unsigned Jobs : {1u, 4u}) {
+    ParallelConfig PC;
+    PC.Jobs = Jobs;
+    ParallelPreDriver Driver(PC);
+    const std::thread::id Caller = std::this_thread::get_id();
+    std::vector<size_t> Parts(64), Committed;
+    Driver.fanOut(
+        Parts.size(), [&](size_t I) { Parts[I] = I * I; },
+        [&](size_t I) {
+          EXPECT_EQ(std::this_thread::get_id(), Caller);
+          EXPECT_EQ(Parts[I], I * I);
+          Committed.push_back(I);
+          return I != 40;
+        });
+    std::vector<size_t> Expected(41);
+    std::iota(Expected.begin(), Expected.end(), 0);
+    EXPECT_EQ(Committed, Expected) << "jobs=" << Jobs;
+  }
+}
+
+// A throwing body surfaces at its own place in the commit order: every
+// commit before it has run, none after it.
+TEST(ParallelDriver, FanOutRethrowsInCommitOrder) {
+  for (unsigned Jobs : {1u, 4u}) {
+    ParallelConfig PC;
+    PC.Jobs = Jobs;
+    ParallelPreDriver Driver(PC);
+    std::vector<size_t> Committed;
+    std::string Thrown;
+    try {
+      Driver.fanOut(
+          32,
+          [](size_t I) {
+            if (I == 9 || I == 20)
+              throw std::runtime_error("body " + std::to_string(I));
+          },
+          [&](size_t I) {
+            Committed.push_back(I);
+            return true;
+          });
+    } catch (const std::runtime_error &E) {
+      Thrown = E.what();
+    }
+    EXPECT_EQ(Thrown, "body 9") << "jobs=" << Jobs;
+    std::vector<size_t> Expected(9);
+    std::iota(Expected.begin(), Expected.end(), 0);
+    EXPECT_EQ(Committed, Expected) << "jobs=" << Jobs;
+  }
 }

@@ -12,12 +12,14 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "mincut/MinCut.h"
+#include "pre/CompileService.h"
 #include "pre/ParallelDriver.h"
 #include "pre/PreDriver.h"
 #include "support/Budget.h"
 #include "support/CompileCache.h"
 #include "support/FaultInjector.h"
 #include "support/Status.h"
+#include "workload/SpecSuite.h"
 
 #include <gtest/gtest.h>
 
@@ -97,6 +99,27 @@ protected:
 
   Function Result;
 };
+
+PreOptions mcSsaPreOptions(const Case &C) {
+  PreOptions PO;
+  PO.Strategy = PreStrategy::McSsaPre;
+  PO.Prof = &C.NodeOnly;
+  return PO;
+}
+
+/// Compiles \p Copies copies of \p C under \p PO as one corpus on a
+/// \p Jobs-worker driver, recording into \p Stats and \p Metrics when
+/// set.
+std::vector<Function> driverCompile(const Case &C, const PreOptions &PO,
+                                    unsigned Jobs, int Copies,
+                                    PreStats *Stats,
+                                    PipelineMetrics *Metrics = nullptr) {
+  ParallelConfig PC;
+  PC.Jobs = Jobs;
+  ParallelPreDriver Driver(PC);
+  std::vector<CompileTask> Tasks(Copies, CompileTask{&C.Prepared, PO});
+  return Driver.compileCorpus(Tasks, Stats, Metrics);
+}
 
 TEST_F(RobustnessTest, FaultSpecParsing) {
   EXPECT_TRUE(configureFaultInjection("min-cut:0.5").isOk());
@@ -271,46 +294,81 @@ TEST_F(RobustnessTest, BruteForceOracleRejectsOversizedNetwork) {
 
 TEST_F(RobustnessTest, ParallelFallbackMatchesSerial) {
   Case C = prepareCase();
-  PreOptions PO;
-  PO.Strategy = PreStrategy::McSsaPre;
-  PO.Prof = &C.NodeOnly;
-
+  PreOptions PO = mcSsaPreOptions(C);
   PreStats SerialStats;
   PO.Stats = &SerialStats;
   CompileOutcomeRecord SerialOutcome;
   Function Serial = compileWithFallback(C.Prepared, PO, &SerialOutcome);
+  const std::string SerialIr = printFunction(Serial);
 
-  ParallelConfig PC;
-  PC.Jobs = 4;
-  ParallelPreDriver Driver(PC);
-  PreStats ParallelStats;
-  PO.Stats = &ParallelStats;
-  CompileOutcomeRecord ParallelOutcome;
-  Function Parallel =
-      Driver.compileFunctionWithFallback(C.Prepared, PO, nullptr,
-                                         &ParallelOutcome);
-
-  EXPECT_EQ(printFunction(Serial), printFunction(Parallel));
-  EXPECT_EQ(SerialOutcome, ParallelOutcome);
-  EXPECT_EQ(SerialStats.records().size(), ParallelStats.records().size());
+  for (unsigned Jobs : {1u, 4u}) {
+    PreStats Stats;
+    std::vector<Function> Out = driverCompile(C, PO, Jobs, 4, &Stats);
+    ASSERT_EQ(Stats.outcomes().size(), Out.size());
+    for (unsigned I = 0; I != Out.size(); ++I) {
+      EXPECT_EQ(printFunction(Out[I]), SerialIr) << "jobs=" << Jobs;
+      CompileOutcomeRecord Want = SerialOutcome;
+      Want.FuncIndex = I;
+      EXPECT_EQ(Stats.outcomes()[I], Want) << "jobs=" << Jobs;
+    }
+    EXPECT_EQ(Stats.records().size(),
+              Out.size() * SerialStats.records().size());
+  }
 }
 
 TEST_F(RobustnessTest, ParallelDriverDegradesUnderInjection) {
   Case C = prepareCase();
-  ASSERT_TRUE(configureFaultInjection("min-cut:1").isOk());
-  PreOptions PO;
-  PO.Strategy = PreStrategy::McSsaPre;
-  PO.Prof = &C.NodeOnly;
-  ParallelConfig PC;
-  PC.Jobs = 4;
-  ParallelPreDriver Driver(PC);
-  CompileOutcomeRecord O;
-  Function Out = Driver.compileFunctionWithFallback(C.Prepared, PO, nullptr,
-                                                    &O);
-  EXPECT_TRUE(O.degraded());
-  EXPECT_EQ(O.Used, "SSAPREsp");
   ExecResult Ref = interpret(C.Prepared, TrainArgs);
-  EXPECT_TRUE(interpret(Out, TrainArgs).sameObservableBehavior(Ref));
+  for (unsigned Jobs : {1u, 4u}) {
+    ASSERT_TRUE(configureFaultInjection("min-cut:1").isOk());
+    PreStats Stats;
+    std::vector<Function> Out =
+        driverCompile(C, mcSsaPreOptions(C), Jobs, 4, &Stats);
+    ASSERT_EQ(Stats.outcomes().size(), Out.size());
+    for (unsigned I = 0; I != Out.size(); ++I) {
+      const CompileOutcomeRecord &O = Stats.outcomes()[I];
+      EXPECT_TRUE(O.degraded());
+      EXPECT_EQ(O.Used, "SSAPREsp");
+      EXPECT_TRUE(interpret(Out[I], TrainArgs).sameObservableBehavior(Ref));
+    }
+  }
+}
+
+/// The request of a SpecSuite benchmark with every outcome reported.
+ServeRequest suiteRequest(const std::string &Name) {
+  for (const BenchmarkSpec &S : fullCpu2006Suite())
+    if (S.Name == Name) {
+      ServeRequest R;
+      R.ModuleText = printFunction(S.buildProgram());
+      R.TrainArgs = S.TrainArgs;
+      R.ReportOutcomes = true;
+      return R;
+    }
+  ADD_FAILURE() << "no SpecSuite benchmark " << Name;
+  return ServeRequest();
+}
+
+// A function compiles on one thread, so under fault injection it meets
+// the same hit numbers at any --jobs and lands on the same rung with the
+// same cause. The spec fails half of h264ref's min-cut probes, so a
+// compile that spread one function's expressions over threads would
+// report a different first hit in most rounds.
+TEST_F(RobustnessTest, InjectionReplaysIdenticallyAtAnyJobs) {
+  const ServeRequest R = suiteRequest("h264ref");
+  const char *Spec = "min-cut:0.5:7";
+  auto Serve = [&](unsigned Jobs) {
+    ParallelConfig PC;
+    PC.Jobs = Jobs;
+    ParallelPreDriver Driver(PC);
+    EXPECT_TRUE(configureFaultInjection(Spec).isOk());
+    return encodeServeResponse(
+        processServeRequest(R, Driver, nullptr, nullptr));
+  };
+  const std::string Serial = Serve(1);
+  ASSERT_NE(Serial.find("cause=fault-injected"), std::string::npos)
+      << Serial;
+  for (int Round = 0; Round != 4; ++Round)
+    ASSERT_EQ(Serve(4), Serial) << "round " << Round;
 }
 
 TEST_F(RobustnessTest, OutcomeRecordedInStats) {
@@ -343,7 +401,8 @@ PipelineMetrics serialMetrics(const Case &C, const PreOptions &PO,
   return M;
 }
 
-/// The same through a \p Jobs-worker driver's compileFunctionWithFallback.
+/// The same through \p Times one-function corpora on a \p Jobs-worker
+/// driver.
 PipelineMetrics driverMetrics(const Case &C, const PreOptions &PO,
                               unsigned Jobs, int Times = 1) {
   ParallelConfig PC;
@@ -351,15 +410,8 @@ PipelineMetrics driverMetrics(const Case &C, const PreOptions &PO,
   ParallelPreDriver Driver(PC);
   PipelineMetrics M;
   for (int I = 0; I != Times; ++I)
-    Driver.compileFunctionWithFallback(C.Prepared, PO, &M);
+    Driver.compileCorpus({{&C.Prepared, PO}}, nullptr, &M);
   return M;
-}
-
-PreOptions mcSsaPreOptions(const Case &C) {
-  PreOptions PO;
-  PO.Strategy = PreStrategy::McSsaPre;
-  PO.Prof = &C.NodeOnly;
-  return PO;
 }
 
 uint64_t invocations(const PipelineMetrics &M, PipelineStep S) {
@@ -390,20 +442,22 @@ TEST_F(RobustnessTest, SerialLadderCountsLikeTheDriver) {
     for (const PreOptions *PO : {&Clean, &Starved}) {
       ASSERT_TRUE(configureFaultInjection(Spec).isOk());
       PipelineMetrics Serial = serialMetrics(C, *PO);
-      ASSERT_TRUE(configureFaultInjection(Spec).isOk());
-      PipelineMetrics Driver = driverMetrics(C, *PO, 1);
-      const RobustnessCounters &S = Serial.robustness();
-      const RobustnessCounters &D = Driver.robustness();
-      EXPECT_EQ(S.FunctionsCompiled, 1u) << Spec;
-      EXPECT_EQ(S.FunctionsCompiled, D.FunctionsCompiled) << Spec;
-      EXPECT_EQ(S.FunctionsDegraded, D.FunctionsDegraded) << Spec;
-      EXPECT_EQ(S.LadderRetries, D.LadderRetries) << Spec;
-      EXPECT_EQ(S.WorkerFailures, D.WorkerFailures) << Spec;
-      for (unsigned Step = 0; Step != NumPipelineSteps; ++Step)
-        EXPECT_EQ(Serial.step(static_cast<PipelineStep>(Step)).Invocations,
-                  Driver.step(static_cast<PipelineStep>(Step)).Invocations)
-            << Spec << ": "
-            << pipelineStepName(static_cast<PipelineStep>(Step));
+      for (unsigned Jobs : {1u, 4u}) {
+        ASSERT_TRUE(configureFaultInjection(Spec).isOk());
+        PipelineMetrics Driver = driverMetrics(C, *PO, Jobs);
+        const RobustnessCounters &S = Serial.robustness();
+        const RobustnessCounters &D = Driver.robustness();
+        EXPECT_EQ(S.FunctionsCompiled, 1u) << Spec;
+        EXPECT_EQ(S.FunctionsCompiled, D.FunctionsCompiled) << Spec;
+        EXPECT_EQ(S.FunctionsDegraded, D.FunctionsDegraded) << Spec;
+        EXPECT_EQ(S.LadderRetries, D.LadderRetries) << Spec;
+        EXPECT_EQ(S.WorkerFailures, D.WorkerFailures) << Spec;
+        for (unsigned Step = 0; Step != NumPipelineSteps; ++Step)
+          EXPECT_EQ(Serial.step(static_cast<PipelineStep>(Step)).Invocations,
+                    Driver.step(static_cast<PipelineStep>(Step)).Invocations)
+              << Spec << " jobs=" << Jobs << ": "
+              << pipelineStepName(static_cast<PipelineStep>(Step));
+      }
     }
   }
 }
@@ -440,14 +494,15 @@ TEST_F(RobustnessTest, ReplayedCacheHitsCountAsCompiled) {
   CompileCache SerialCache({});
   PO.Cache = &SerialCache;
   PipelineMetrics Serial = serialMetrics(C, PO, 2);
-  CompileCache DriverCache({});
-  PO.Cache = &DriverCache;
-  PipelineMetrics Driver = driverMetrics(C, PO, 1, 2);
-
   EXPECT_EQ(SerialCache.counters().Hits, 1u);
-  EXPECT_EQ(DriverCache.counters().Hits, 1u);
   EXPECT_EQ(Serial.robustness().FunctionsCompiled, 2u);
-  EXPECT_EQ(Driver.robustness().FunctionsCompiled, 2u);
+  for (unsigned Jobs : {1u, 4u}) {
+    CompileCache DriverCache({});
+    PO.Cache = &DriverCache;
+    PipelineMetrics Driver = driverMetrics(C, PO, Jobs, 2);
+    EXPECT_EQ(DriverCache.counters().Hits, 1u) << "jobs=" << Jobs;
+    EXPECT_EQ(Driver.robustness().FunctionsCompiled, 2u) << "jobs=" << Jobs;
+  }
 }
 
 } // namespace

@@ -21,7 +21,8 @@
 //     --stats               dump per-expression PRE statistics
 //     --no-emit             do not print the optimized IR
 //     --function=<name>     restrict to one function
-//     --jobs=N              parallel PRE pipeline (N workers; output is
+//     --jobs=N              threads that compile the module's functions,
+//                           one function per thread (output is
 //                           bit-identical to --jobs=1); 0 = all cores
 //     --metrics-out=<path>  write per-step pipeline timing as JSON
 //     --budget-ms=N         per-function compile deadline (degrades on
@@ -117,7 +118,7 @@ struct ToolOptions {
   std::string MetricsOutPath; ///< write pipeline step timings as JSON
   std::string OnlyFunction;
   std::string InputPath;
-  unsigned Jobs = 1; ///< PRE pipeline workers; 0 = hardware concurrency
+  unsigned Jobs = 1; ///< Threads compiling functions; 0 = all cores
   CompileBudget Budget;     ///< per-function resource limits
   unsigned LospreMaxWidth = 8; ///< leg D treewidth budget
   std::string InjectFaults; ///< fault-injection spec ("" = disabled)

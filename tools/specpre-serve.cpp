@@ -5,7 +5,8 @@
 //   specpre-serve --socket=PATH [options]
 //
 //     --socket=PATH          Unix-domain socket to listen on (required)
-//     --jobs=N               compile-pipeline workers (0 = all cores)
+//     --jobs=N               threads that compile a request's functions,
+//                            one function per thread (0 = all cores)
 //     --request-workers=N    concurrent requests in execution (default 2)
 //     --cache-dir=PATH       shared on-disk cache directory
 //     --cache=on|off         in-process compile cache (default on)
