@@ -238,9 +238,12 @@ VarId Function::findVar(const std::string &VarName) const {
 
 VarId Function::makeFreshVar(const std::string &Hint) {
   std::string Candidate = Hint;
-  unsigned Suffix = 0;
-  while (findVar(Candidate) != InvalidVar)
-    Candidate = Hint + "." + std::to_string(Suffix++);
+  if (findVar(Candidate) != InvalidVar) {
+    unsigned &Suffix = NextFreshSuffix[Hint];
+    do
+      Candidate = Hint + "." + std::to_string(Suffix++);
+    while (findVar(Candidate) != InvalidVar);
+  }
   VarNames.push_back(Candidate);
   return static_cast<VarId>(VarNames.size() - 1);
 }

@@ -232,8 +232,9 @@ public:
   /// Returns the variable named \p Name or InvalidVar.
   VarId findVar(const std::string &VarName) const;
 
-  /// Creates a fresh variable whose name starts with \p Hint and does not
-  /// collide with any existing variable.
+  /// Creates a fresh variable named \p Hint if that is free, otherwise
+  /// `Hint.K` for the smallest suffix K that does not collide with any
+  /// existing variable.
   VarId makeFreshVar(const std::string &Hint);
 
   unsigned numVars() const { return static_cast<unsigned>(VarNames.size()); }
@@ -251,14 +252,20 @@ private:
   /// lookup.
   void syncVarIndex() const;
 
-  /// Lazily-grown name -> id index behind findVar. Without it the parser
-  /// is super-linear: every materialized temporary probes makeFreshVar's
-  /// candidate names with a full linear scan of the table. Entries are
-  /// only ever appended to VarNames (never renamed or removed), so
-  /// growing the index incrementally keeps it exact; emplace preserves
-  /// findVar's first-match semantics should a duplicate ever appear.
+  /// Lazily-grown name -> id index behind findVar. Entries are only ever
+  /// appended to VarNames (never renamed or removed), so growing the
+  /// index incrementally keeps it exact; emplace preserves findVar's
+  /// first-match semantics should a duplicate ever appear.
   mutable std::map<std::string, VarId> VarIndex;
   mutable unsigned IndexedVars = 0;
+
+  /// Per makeFreshVar hint, the smallest suffix that may still be free.
+  /// Every suffix below it is taken, and stays taken because VarNames is
+  /// append-only, so probing starts here and picks the same name a probe
+  /// from `.0` would. Without it every parsed assignment (each one
+  /// materializes a `t$` temp) would probe all earlier suffixes, making
+  /// parsing quadratic in a function's statements.
+  std::map<std::string, unsigned> NextFreshSuffix;
 };
 
 /// A translation unit: a list of functions.

@@ -249,6 +249,19 @@ private:
   /// Emits `Temp = L Op R` into \p PB and returns the temp as an operand.
   Operand materialize(PendingBlock &PB, Opcode Op, Operand L, Operand R);
 
+  /// Runs \p Parse one expression nesting level deeper (a parenthesis,
+  /// unary minus or min/max call, each of which recurses once). Input
+  /// nested deeper than MaxExprNesting is refused at the current token
+  /// before the recursion can exhaust the stack.
+  template <class Fn> bool nested(Fn &&Parse) {
+    if (Depth == MaxExprNesting)
+      return fail("expression nested too deeply");
+    ++Depth;
+    bool Ok = Parse();
+    --Depth;
+    return Ok;
+  }
+
   bool resolveFunction(Function &F, std::vector<PendingBlock> &Pending,
                        std::string &Error);
 
@@ -262,6 +275,8 @@ private:
   /// name prefix) keeps a source program's own t$-named variables safe
   /// from that peephole.
   VarId LastMaterialized = InvalidVar;
+  /// Current expression nesting depth (see nested()).
+  unsigned Depth = 0;
 };
 
 int Parser::currentBinop(Opcode &Op) const {
@@ -384,25 +399,25 @@ bool Parser::parseAtom(PendingBlock &PB, Operand &Out) {
     }
     // Unary minus on a general atom: materialize `0 - atom`.
     Operand Inner;
-    if (!parseAtom(PB, Inner))
+    if (!nested([&] { return parseAtom(PB, Inner); }))
       return false;
     Out = materialize(PB, Opcode::Sub, Operand::makeConst(0), Inner);
     return true;
   }
   if (isPunct("(")) {
-    advance();
-    if (!parseExpr(PB, 0, Out))
-      return false;
-    return expectPunct(")");
+    return nested([&] {
+      advance();
+      return parseExpr(PB, 0, Out) && expectPunct(")");
+    });
   }
   if (isIdent("min") || isIdent("max")) {
     Opcode Op = isIdent("min") ? Opcode::Min : Opcode::Max;
-    advance();
-    if (!expectPunct("("))
-      return false;
     Operand L, R;
-    if (!parseExpr(PB, 0, L) || !expectPunct(",") || !parseExpr(PB, 0, R) ||
-        !expectPunct(")"))
+    if (!nested([&] {
+          advance();
+          return expectPunct("(") && parseExpr(PB, 0, L) &&
+                 expectPunct(",") && parseExpr(PB, 0, R) && expectPunct(")");
+        }))
       return false;
     Out = materialize(PB, Op, L, R);
     return true;

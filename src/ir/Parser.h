@@ -38,6 +38,12 @@
 
 namespace specpre {
 
+/// The deepest expression nesting the parser accepts: each parenthesis,
+/// unary minus on a non-literal and min/max call is one level. Deeper
+/// input fails with a located "expression nested too deeply" diagnostic
+/// instead of recursing until the stack overflows.
+constexpr unsigned MaxExprNesting = 1000;
+
 /// Parses a whole module. On failure returns std::nullopt and stores a
 /// human-readable message (with line number) in \p Error.
 std::optional<Module> parseModule(std::string_view Text, std::string &Error);

@@ -2,10 +2,11 @@
 
 #include "ir/Verifier.h"
 
+#include "analysis/Cfg.h"
+#include "analysis/DomTree.h"
 #include "ir/Printer.h"
 #include "support/Diagnostics.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -27,72 +28,38 @@ private:
     return false;
   }
 
-  bool checkStructure();
-  bool checkOperand(const Operand &O, const std::string &Where);
-  bool checkSsa();
+  /// "block 'L': <stmt>", the location a statement diagnostic names.
+  /// Printed only once a check has failed.
+  std::string where(BlockId B, const Stmt &S) const {
+    return "block '" + F.Blocks[B].Label + "': " + printStmt(F, S);
+  }
 
-  /// Computes reachable blocks from entry.
-  std::vector<bool> reachableFrom(BlockId Start,
-                                  BlockId Excluded = InvalidBlock) const;
-
-  /// Returns true if \p A dominates \p B (both reachable). Naive
-  /// formulation: A dominates B iff B is unreachable once A is removed.
-  bool dominates(BlockId A, BlockId B) const;
+  /// Block shapes and branch targets: everything the Cfg needs to exist.
+  bool checkBlocks();
+  bool checkStatements(const Cfg &C);
+  bool checkOperand(const Operand &O, BlockId B, const Stmt &S);
+  bool checkSsa(const Cfg &C);
 
   const Function &F;
   std::string &Error;
-  std::vector<std::vector<BlockId>> Preds;
 };
 
-std::vector<bool> VerifierImpl::reachableFrom(BlockId Start,
-                                              BlockId Excluded) const {
-  std::vector<bool> Seen(F.numBlocks(), false);
-  if (Start == Excluded)
-    return Seen;
-  std::vector<BlockId> Work{Start};
-  Seen[Start] = true;
-  std::vector<BlockId> Succs;
-  while (!Work.empty()) {
-    BlockId B = Work.back();
-    Work.pop_back();
-    Succs.clear();
-    F.Blocks[B].appendSuccessors(Succs);
-    for (BlockId S : Succs) {
-      if (S == Excluded || Seen[S])
-        continue;
-      Seen[S] = true;
-      Work.push_back(S);
-    }
-  }
-  return Seen;
-}
-
-bool VerifierImpl::dominates(BlockId A, BlockId B) const {
-  if (A == B)
-    return true;
-  std::vector<bool> Seen = reachableFrom(0, A);
-  return !Seen[B];
-}
-
-bool VerifierImpl::checkOperand(const Operand &O, const std::string &Where) {
+bool VerifierImpl::checkOperand(const Operand &O, BlockId B, const Stmt &S) {
   if (O.isConst())
     return true;
   if (O.Var < 0 || O.Var >= static_cast<VarId>(F.numVars()))
-    return fail("invalid variable operand in " + Where);
+    return fail("invalid variable operand in " + where(B, S));
   if (F.IsSSA && O.Version <= 0)
     return fail("unversioned variable use of '" + F.varName(O.Var) + "' in " +
-                Where + " of SSA-form function");
+                where(B, S) + " of SSA-form function");
   return true;
 }
 
-bool VerifierImpl::checkStructure() {
+bool VerifierImpl::checkBlocks() {
   if (F.Blocks.empty())
     return fail("function has no blocks");
 
-  Preds.assign(F.numBlocks(), {});
-  std::vector<BlockId> Succs;
-  for (unsigned B = 0; B != F.numBlocks(); ++B) {
-    const BasicBlock &BB = F.Blocks[B];
+  for (const BasicBlock &BB : F.Blocks) {
     if (BB.Stmts.empty())
       return fail("block '" + BB.Label + "' is empty");
     if (!BB.Stmts.back().isTerminator())
@@ -119,51 +86,48 @@ bool VerifierImpl::checkStructure() {
            T.FalseTarget >= static_cast<BlockId>(F.numBlocks())))
         return fail("invalid false target in block '" + BB.Label + "'");
     }
-    Succs.clear();
-    BB.appendSuccessors(Succs);
-    for (BlockId S : Succs)
-      Preds[S].push_back(static_cast<BlockId>(B));
   }
+  return true;
+}
 
-  if (!Preds[0].empty())
+bool VerifierImpl::checkStatements(const Cfg &C) {
+  if (!C.preds(0).empty())
     return fail("entry block must have no predecessors");
 
   // Statement-level operand and phi checks.
-  std::vector<bool> Reachable = reachableFrom(0);
   for (unsigned B = 0; B != F.numBlocks(); ++B) {
     const BasicBlock &BB = F.Blocks[B];
     for (const Stmt &S : BB.Stmts) {
-      std::string Where = "block '" + BB.Label + "': " + printStmt(F, S);
       if (S.definesValue() &&
           (S.Dest < 0 || S.Dest >= static_cast<VarId>(F.numVars())))
-        return fail("invalid destination variable in " + Where);
+        return fail("invalid destination variable in " + where(B, S));
       switch (S.Kind) {
       case StmtKind::Copy:
       case StmtKind::Branch:
       case StmtKind::Ret:
       case StmtKind::Print:
-        if (!checkOperand(S.Src0, Where))
+        if (!checkOperand(S.Src0, B, S))
           return false;
         break;
       case StmtKind::Compute:
-        if (!checkOperand(S.Src0, Where) || !checkOperand(S.Src1, Where))
+        if (!checkOperand(S.Src0, B, S) || !checkOperand(S.Src1, B, S))
           return false;
         break;
       case StmtKind::Phi: {
-        if (!Reachable[B])
+        if (!C.isReachable(B))
           break;
         // Phi args must correspond 1:1 with CFG predecessors.
         std::set<BlockId> ArgPreds;
         for (const PhiArg &A : S.PhiArgs) {
           if (!ArgPreds.insert(A.Pred).second)
-            return fail("duplicate phi predecessor in " + Where);
-          if (!checkOperand(A.Val, Where))
+            return fail("duplicate phi predecessor in " + where(B, S));
+          if (!checkOperand(A.Val, B, S))
             return false;
         }
-        std::set<BlockId> CfgPreds(Preds[B].begin(), Preds[B].end());
+        std::set<BlockId> CfgPreds(C.preds(B).begin(), C.preds(B).end());
         if (ArgPreds != CfgPreds)
           return fail("phi predecessors do not match CFG predecessors in " +
-                      Where);
+                      where(B, S));
         break;
       }
       case StmtKind::Jump:
@@ -174,7 +138,7 @@ bool VerifierImpl::checkStructure() {
   return true;
 }
 
-bool VerifierImpl::checkSsa() {
+bool VerifierImpl::checkSsa(const Cfg &C) {
   // Gather all definitions: (var, version) -> (block, stmt index).
   // Parameters are implicitly defined at function entry with version 1.
   struct DefSite {
@@ -203,58 +167,57 @@ bool VerifierImpl::checkSsa() {
     }
   }
 
-  std::vector<bool> Reachable = reachableFrom(0);
+  DomTree DT = DomTree::buildDominators(C);
 
   // Check that every use is dominated by its definition. A phi argument is
   // a use at the end of the corresponding predecessor block.
   auto CheckUse = [&](const Operand &O, BlockId UseBlock, unsigned UseIdx,
-                      bool AtPredEnd, const std::string &Where) {
+                      bool AtPredEnd, BlockId B, const Stmt &S) {
     if (!O.isVar())
       return true;
     auto It = Defs.find({O.Var, O.Version});
     if (It == Defs.end())
       return fail("use of undefined '" + F.varName(O.Var) + "#" +
-                  std::to_string(O.Version) + "' in " + Where);
+                  std::to_string(O.Version) + "' in " + where(B, S));
     const DefSite &D = It->second;
-    if (!Reachable[UseBlock])
+    if (!C.isReachable(UseBlock))
       return true; // unreachable code is not held to dominance rules
     if (D.Block == UseBlock) {
       if (AtPredEnd)
         return true; // def inside the pred block always precedes its end
       if (D.StmtIdx >= UseIdx && !D.IsParam)
-        return fail("definition does not precede use in " + Where);
+        return fail("definition does not precede use in " + where(B, S));
       return true;
     }
-    if (!dominates(D.Block, UseBlock))
+    if (!DT.dominates(D.Block, UseBlock))
       return fail("definition of '" + F.varName(O.Var) + "#" +
                   std::to_string(O.Version) + "' does not dominate use in " +
-                  Where);
+                  where(B, S));
     return true;
   };
 
   for (unsigned B = 0; B != F.numBlocks(); ++B) {
     const BasicBlock &BB = F.Blocks[B];
-    if (!Reachable[B])
+    if (!C.isReachable(B))
       continue;
     for (unsigned I = 0; I != BB.Stmts.size(); ++I) {
       const Stmt &S = BB.Stmts[I];
-      std::string Where = "block '" + BB.Label + "': " + printStmt(F, S);
       switch (S.Kind) {
       case StmtKind::Copy:
       case StmtKind::Branch:
       case StmtKind::Ret:
       case StmtKind::Print:
-        if (!CheckUse(S.Src0, B, I, false, Where))
+        if (!CheckUse(S.Src0, B, I, false, B, S))
           return false;
         break;
       case StmtKind::Compute:
-        if (!CheckUse(S.Src0, B, I, false, Where) ||
-            !CheckUse(S.Src1, B, I, false, Where))
+        if (!CheckUse(S.Src0, B, I, false, B, S) ||
+            !CheckUse(S.Src1, B, I, false, B, S))
           return false;
         break;
       case StmtKind::Phi:
         for (const PhiArg &A : S.PhiArgs)
-          if (!CheckUse(A.Val, A.Pred, 0, true, Where))
+          if (!CheckUse(A.Val, A.Pred, 0, true, B, S))
             return false;
         break;
       case StmtKind::Jump:
@@ -266,9 +229,12 @@ bool VerifierImpl::checkSsa() {
 }
 
 bool VerifierImpl::run() {
-  if (!checkStructure())
+  if (!checkBlocks())
     return false;
-  if (F.IsSSA && !checkSsa())
+  Cfg C(F);
+  if (!checkStatements(C))
+    return false;
+  if (F.IsSSA && !checkSsa(C))
     return false;
   return true;
 }

@@ -65,15 +65,26 @@ void specpre::prepareFunction(Function &F) {
 
 namespace {
 
-/// Runs the IR verifier on \p F. A failure throws
-/// StatusException(VerifyFailed), like a Definition-1 oracle violation,
-/// which the degradation ladder converts into a retry on a cheaper
-/// strategy.
-void verifyOrThrow(const Function &F, const std::string &Context) {
+/// Checks \p F once PRE under \p S has transformed it: the IR verifier,
+/// then the Definition-1 oracle over every temp in \p Temps (the SSA
+/// legs' {expression, temp} pairs; empty for MC-PRE and LCM), timed as
+/// one PipelineStep::Verify invocation. A failure throws
+/// StatusException(VerifyFailed), which the degradation ladder converts
+/// into a retry on a cheaper strategy. The message names the strategy
+/// and either the failing statement, whose `pre.tmp.<index>` temp names
+/// the candidate, or the expression not available at a reload.
+void verifyAfterPre(const Function &F, PreStrategy S,
+                    const std::vector<std::pair<ExprKey, VarId>> &Temps) {
+  PassTimer Timer(PipelineStep::Verify, F.numBlocks());
   std::string Error;
   if (!verifyFunction(F, Error))
     throw StatusException(ErrorCode::VerifyFailed,
-                          "IR verification failed " + Context + ": " + Error);
+                          std::string("IR verification failed after ") +
+                              strategyName(S) + ": " + Error);
+  if (!Temps.empty() && !checkReloadsFullyAvailable(F, Temps, Error))
+    throw StatusException(ErrorCode::VerifyFailed,
+                          "Definition-1 correctness violated by " +
+                              std::string(strategyName(S)) + ": " + Error);
 }
 
 /// Leg D's whole-function gate: Krause's linear-time construction
@@ -144,10 +155,11 @@ ExprStatsRecord placeExpression(Frg &G, unsigned EI, const PreOptions &Opts,
 }
 
 /// The commit step of candidate \p EI, whose placement is on \p G:
-/// finalize (and its statistics into \p Rec), code motion, and under
-/// Opts.Verify the IR verifier and the Definition-1 oracle.
-void commitExpression(Function &F, Frg &G, unsigned EI,
-                      const PreOptions &Opts, ExprStatsRecord &Rec) {
+/// finalize (and its statistics into \p Rec) and code motion. Returns
+/// the temp the motion defined, or InvalidVar when the plan changed
+/// nothing.
+VarId commitExpression(Function &F, Frg &G, unsigned EI,
+                       const PreOptions &Opts, ExprStatsRecord &Rec) {
   FinalizePlan Plan = finalizePlacement(G);
   for (const RealOcc &R : G.reals()) {
     Rec.NumReloads += R.Reload;
@@ -175,24 +187,18 @@ void commitExpression(Function &F, Frg &G, unsigned EI,
   }
 
   if (!Plan.hasAnyEffect())
-    return;
+    return InvalidVar;
   VarId Temp = F.makeFreshVar("pre.tmp." + std::to_string(EI));
   applyCodeMotion(F, G, Plan, Temp);
-  if (!Opts.Verify)
-    return;
-  verifyOrThrow(F, "after PRE of '" + Rec.Expr + "' with " +
-                       strategyName(Opts.Strategy));
-  std::vector<std::pair<ExprKey, VarId>> TempMap{{G.expr(), Temp}};
-  std::string Error;
-  if (!checkReloadsFullyAvailable(F, TempMap, Error))
-    throw StatusException(ErrorCode::VerifyFailed,
-                          "Definition-1 correctness violated by " +
-                              std::string(strategyName(Opts.Strategy)) +
-                              ": " + Error);
+  return Temp;
 }
 
 /// The per-expression loop of the SSA strategies: per candidate, build
-/// its FRG against the current function, place, commit.
+/// its FRG against the current function, place, commit; then, under
+/// Opts.Verify, verify the function once. A motion rewrites only its own
+/// expression's computations and defines a fresh temp, so it can neither
+/// repair nor change what an earlier motion produced: the final function
+/// fails a check exactly when some intermediate one would have.
 void runSsaStrategies(Function &F, const PreOptions &Opts) {
   assert(F.IsSSA && "SSA strategies require SSA form");
   Cfg C(F);
@@ -206,16 +212,21 @@ void runSsaStrategies(Function &F, const PreOptions &Opts) {
   // rewrites (reloads keep the destination, temps are fresh variables),
   // so it is computed once up front for all candidates.
   LexicalDataFlow LDF = solveLexicalDataFlow(F, C, Exprs);
+  std::vector<std::pair<ExprKey, VarId>> Temps;
   for (unsigned EI = 0; EI != Exprs.size(); ++EI) {
     Frg G(F, C, DT, Exprs[EI]);
     if (G.reals().empty())
       continue;
     ExprStatsRecord Rec = placeExpression(G, EI, Opts, LDF, LI);
     CrashContext ExprFrame("expression", Rec.Expr);
-    commitExpression(F, G, EI, Opts, Rec);
+    VarId Temp = commitExpression(F, G, EI, Opts, Rec);
+    if (Temp != InvalidVar)
+      Temps.emplace_back(Exprs[EI], Temp);
     if (Opts.Stats)
       Opts.Stats->addRecord(std::move(Rec));
   }
+  if (Opts.Verify && !Temps.empty())
+    verifyAfterPre(F, Opts.Strategy, Temps);
 }
 
 } // namespace
@@ -237,13 +248,13 @@ void specpre::runPre(Function &F, const PreOptions &Opts) {
                            : Opts.Prof->withEstimatedEdgeFreqs(F);
     runMcPre(F, EdgeProf, Opts.Stats, Opts.Placement);
     if (Opts.Verify)
-      verifyOrThrow(F, "after MC-PRE");
+      verifyAfterPre(F, Opts.Strategy, {});
     return;
   }
   case PreStrategy::Lcm:
     runLcm(F, Opts.Stats);
     if (Opts.Verify)
-      verifyOrThrow(F, "after LCM");
+      verifyAfterPre(F, Opts.Strategy, {});
     return;
   }
   SPECPRE_UNREACHABLE("bad strategy");

@@ -78,9 +78,9 @@ struct PreOptions {
   /// CutObjective::size() explores the Section-6 code-size direction.
   CutObjective Objective = CutObjective::speed();
   /// Run the IR verifier and the Definition-1 availability oracle on the
-  /// transformed function. A violation throws
-  /// StatusException(ErrorCode::VerifyFailed), which compileWithFallback
-  /// converts into a retry on the next ladder rung.
+  /// transformed function, once, after its last code motion. A violation
+  /// throws StatusException(ErrorCode::VerifyFailed), which
+  /// compileWithFallback converts into a retry on the next ladder rung.
   bool Verify = true;
   /// Statistics sink (may be null).
   PreStats *Stats = nullptr;

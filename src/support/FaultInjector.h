@@ -13,7 +13,10 @@
 /// rename, data-flow, reduction, min-cut, safe-placement, speculation,
 /// finalize, code-motion, verify) plus two cross-cutting ones: `alloc`
 /// (simulated allocation failure at graph-build time) and `budget`
-/// (simulated budget exhaustion at a pass boundary). The chaos harness
+/// (simulated budget exhaustion at a pass boundary). The `verify` site
+/// probes the always-on min-cut validation (pre/McSsaPre.cpp,
+/// applyEfgCut) once per cut; the `verify` pipeline step, which runs
+/// once per function, has no probe. The chaos harness
 /// (docs/ROBUSTNESS.md) adds network and process sites — `torn-frame`,
 /// `partial-write`, `delayed-write`, `dropped-connection` in the socket
 /// framing layer, and `worker-kill` / `worker-crash` probed by the

@@ -29,6 +29,8 @@ const char *specpre::pipelineStepName(PipelineStep S) {
     return "finalize";
   case PipelineStep::CodeMotion:
     return "code-motion";
+  case PipelineStep::Verify:
+    return "verify";
   case PipelineStep::Count:
     break;
   }

@@ -8,8 +8,8 @@
 /// The observability layer of the PRE pipeline: wall time and problem
 /// sizes per algorithmic step (Φ-insertion, rename, the sparse data
 /// flow, graph reduction, the min cut, safe placement, finalize, code
-/// motion), accumulated into a PipelineMetrics and exportable as JSON
-/// (`specpre-opt --metrics-out=`).
+/// motion, verification), accumulated into a PipelineMetrics and
+/// exportable as JSON (`specpre-opt --metrics-out=`).
 ///
 /// Collection is pull-free: each step's implementation constructs a
 /// PassTimer, which records into the thread-local sink installed by the
@@ -44,6 +44,7 @@ enum class PipelineStep : unsigned {
   SafePlacement, ///< SSAPRE legs A/B: DownSafety/WillBeAvail.
   Finalize,      ///< Step 9: reload/save decisions, temp phis.
   CodeMotion,    ///< Step 10: applying the edit plan to the IR.
+  Verify,        ///< IR verifier + Definition-1 oracle, once per function.
   Count
 };
 

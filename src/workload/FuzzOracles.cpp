@@ -38,6 +38,17 @@ OracleFailure fail(std::string Oracle, std::string Message) {
 
 } // namespace
 
+std::optional<OracleFailure> specpre::guardOracles(
+    const std::function<std::optional<OracleFailure>()> &Check) {
+  try {
+    return Check();
+  } catch (const StatusException &E) {
+    return fail("uncaught-status", E.status().toString());
+  } catch (const std::exception &E) {
+    return fail("uncaught-exception", E.what());
+  }
+}
+
 GeneratorConfig specpre::fuzzGeneratorConfig(uint64_t Seed, uint64_t CaseIdx) {
   Rng R(mixSeed(Seed, CaseIdx));
   GeneratorConfig C;

@@ -35,6 +35,7 @@
 #include "workload/ProgramGenerator.h"
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,6 +48,17 @@ struct OracleFailure {
   std::string Oracle;
   std::string Message;
 };
+
+/// Runs \p Check and returns its result, converting an exception that
+/// escapes it into a failure: oracle `uncaught-status` for a
+/// StatusException, `uncaught-exception` for any other std::exception.
+/// Paths that bypass the degradation ladder throw (SSA construction
+/// rejects a reducer candidate that lost a variable's only definition;
+/// the stored-profile and EFG replay modes compile without fallback), so
+/// `specpre-fuzz` runs every case, replay and reducer candidate through
+/// this guard.
+std::optional<OracleFailure>
+guardOracles(const std::function<std::optional<OracleFailure>()> &Check);
 
 /// Deterministic per-case derivations. The fuzzer, the reducer, the CI
 /// smoke run and the regression tests all agree that (Seed, CaseIdx)

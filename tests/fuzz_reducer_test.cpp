@@ -141,6 +141,76 @@ TEST(Reducer, ShrinksToThePredicateCore) {
   EXPECT_EQ(Computes, 1u);
 }
 
+TEST(Reducer, ThrowingCandidatesAreRejectedNotFatal) {
+  // The reducer's first moves delete statements, among them the only
+  // definition of a variable; SSA construction then throws
+  // StatusException(InvalidInput) out of checkPipelineOracles. Judged
+  // through guardOracles, as specpre-fuzz judges every candidate, such a
+  // candidate reads as `uncaught-status`, a different oracle from the
+  // one being reduced, and is simply not kept.
+  Function F = parseFunctionOrDie(R"(
+    func f(a, b, p) {
+    entry:
+      u = a + b
+      v = u * 3
+      br p, left, right
+    left:
+      w = a * b
+      print w
+      jmp join
+    right:
+      t = v - b
+      print t
+      jmp join
+    join:
+      s = u + v
+      ret s
+    }
+  )");
+  const std::vector<int64_t> Train = {3, 4, 1};
+  const std::vector<std::vector<int64_t>> Variants = {{3, 4, 0}, {5, 6, 1}};
+  ExprKey Mul;
+  Mul.Op = Opcode::Mul;
+  Mul.L.Var = F.findVar("a");
+  Mul.R.Var = F.findVar("b");
+  // A failure that persists while the pipeline runs and a * b survives.
+  auto Check = [&](const Function &Cand) {
+    return guardOracles([&]() -> std::optional<OracleFailure> {
+      if (auto Fail = checkPipelineOracles(Cand, Train, Variants))
+        return Fail;
+      for (const BasicBlock &B : Cand.Blocks)
+        for (const Stmt &S : B.Stmts)
+          if (Mul.matches(S))
+            return OracleFailure{"synthetic", "a * b survives"};
+      return std::nullopt;
+    });
+  };
+  std::optional<OracleFailure> Original = Check(F);
+  ASSERT_TRUE(Original.has_value());
+  ASSERT_EQ(Original->Oracle, "synthetic") << Original->Message;
+
+  // The same pipeline throws on a candidate without u's definition.
+  Function NoDef = F;
+  NoDef.Blocks[0].Stmts.erase(NoDef.Blocks[0].Stmts.begin());
+  std::optional<OracleFailure> Thrown = Check(NoDef);
+  ASSERT_TRUE(Thrown.has_value());
+  EXPECT_EQ(Thrown->Oracle, "uncaught-status") << Thrown->Message;
+  EXPECT_NE(Thrown->Message.find("invalid-input"), std::string::npos)
+      << Thrown->Message;
+
+  unsigned Probes = 0;
+  Function Reduced = reduceFunction(F, [&](const Function &Cand) {
+    ++Probes;
+    std::optional<OracleFailure> Fail = Check(Cand);
+    return Fail && Fail->Oracle == Original->Oracle;
+  });
+  EXPECT_GT(Probes, 0u);
+  EXPECT_LT(countStmts(Reduced), countStmts(F));
+  std::optional<OracleFailure> Kept = Check(Reduced);
+  ASSERT_TRUE(Kept.has_value());
+  EXPECT_EQ(Kept->Oracle, "synthetic") << Kept->Message;
+}
+
 TEST(Reducer, RespectsTheProbeBudget) {
   Function F = fuzzProgram(13, 2);
   unsigned Probes = 0;

@@ -2,6 +2,7 @@
 
 #include "ir/Ir.h"
 #include "ir/IrBuilder.h"
+#include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 
@@ -156,6 +157,92 @@ TEST(Verifier, RejectsUseBeforeDefInSsa) {
   EXPECT_FALSE(verifyFunction(F, Error));
 }
 
+namespace {
+
+/// An SSA diamond whose left arm defines x#1; \p Join is the join
+/// block's body.
+std::string diamondWithJoin(const std::string &Join) {
+  return "func f(p) {\n"
+         "entry:\n"
+         "  br p#1, left, right\n"
+         "left:\n"
+         "  x#1 = p#1 + 1\n"
+         "  jmp join\n"
+         "right:\n"
+         "  jmp join\n"
+         "join:\n" +
+         Join + "}\n";
+}
+
+/// verifyFunction's message for \p Text, or "" when it verifies.
+std::string verifierError(const std::string &Text) {
+  Function F = parseFunctionOrDie(Text);
+  EXPECT_TRUE(F.IsSSA);
+  std::string Error;
+  if (verifyFunction(F, Error))
+    return "";
+  EXPECT_FALSE(Error.empty());
+  return Error;
+}
+
+} // namespace
+
+TEST(Verifier, RejectsUseNotDominatedByItsDefinition) {
+  std::string Error = verifierError(diamondWithJoin("  ret x#1\n"));
+  EXPECT_NE(Error.find("'x#1' does not dominate use in block 'join'"),
+            std::string::npos)
+      << Error;
+}
+
+TEST(Verifier, PhiArgumentIsAUseAtItsPredecessorsEnd) {
+  // The def in the left arm reaches the end of the left arm...
+  EXPECT_EQ(verifierError(diamondWithJoin(
+                "  y#1 = phi [left: x#1] [right: 0]\n  ret y#1\n")),
+            "");
+  // ...but not the end of the right arm.
+  std::string Error = verifierError(
+      diamondWithJoin("  y#1 = phi [left: 0] [right: x#1]\n  ret y#1\n"));
+  EXPECT_NE(Error.find("'x#1' does not dominate use"), std::string::npos)
+      << Error;
+}
+
+TEST(Verifier, UnreachableDefinitionDominatesNothing) {
+  std::string Error = verifierError(R"(
+    func f(p) {
+    entry:
+      jmp exit
+    dead:
+      x#1 = p#1 + 1
+      ret x#1
+    exit:
+      ret x#1
+    }
+  )");
+  EXPECT_NE(Error.find("'x#1' does not dominate use in block 'exit'"),
+            std::string::npos)
+      << Error;
+}
+
+TEST(Verifier, UnreachableCodeIsNotHeldToDominance) {
+  // dead uses the left arm's x#1, which cannot dominate it; dead is
+  // unreachable, so that is accepted.
+  EXPECT_EQ(verifierError(R"(
+    func f(p) {
+    entry:
+      br p#1, left, exit
+    left:
+      x#1 = p#1 + 1
+      jmp exit
+    exit:
+      ret p#1
+    dead:
+      y#1 = x#1 + 1
+      ret y#1
+    }
+  )"),
+            "");
+}
+
 TEST(Function, FreshVarsDoNotCollide) {
   Function F;
   VarId A = F.getOrAddVar("x");
@@ -164,6 +251,27 @@ TEST(Function, FreshVarsDoNotCollide) {
   EXPECT_NE(A, B);
   EXPECT_NE(B, C);
   EXPECT_NE(F.varName(B), F.varName(C));
+  // The names themselves are pinned: goldens, printed IR and the
+  // name-based cache keys spell them.
+  EXPECT_EQ(F.varName(B), "x.0");
+  EXPECT_EQ(F.varName(C), "x.1");
+  EXPECT_EQ(F.varName(F.makeFreshVar("x")), "x.2");
+
+  // A name the source already uses is skipped, earlier or later.
+  Function G;
+  G.getOrAddVar("x");
+  G.getOrAddVar("x.1");
+  EXPECT_EQ(G.varName(G.makeFreshVar("x")), "x.0");
+  EXPECT_EQ(G.varName(G.makeFreshVar("x")), "x.2");
+  G.getOrAddVar("x.4");
+  EXPECT_EQ(G.varName(G.makeFreshVar("x")), "x.3");
+  EXPECT_EQ(G.varName(G.makeFreshVar("x")), "x.5");
+
+  // Two hints keep separate counters; a free hint is taken bare.
+  EXPECT_EQ(G.varName(G.makeFreshVar("y")), "y");
+  EXPECT_EQ(G.varName(G.makeFreshVar("y")), "y.0");
+  EXPECT_EQ(G.varName(G.makeFreshVar("x")), "x.6");
+  EXPECT_EQ(G.varName(G.makeFreshVar("y")), "y.1");
 }
 
 TEST(Printer, StmtRendering) {

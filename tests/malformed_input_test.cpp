@@ -112,6 +112,45 @@ TEST(MalformedInput, OverlongLiteralDoesNotThrow) {
       Error).has_value()) << Error;
 }
 
+TEST(MalformedInput, DeepExpressionNestingIsRejectedNotOverflowed) {
+  // 100,000 nested parentheses (200 KB): a recursive-descent parser
+  // without a depth bound overflows its stack long before the end.
+  const unsigned Depth = 100000;
+  std::string Text = "func f(a) {\nentry:\n  x = " +
+                     std::string(Depth, '(') + "a" +
+                     std::string(Depth, ')') + "\n  ret x\n}\n";
+  std::string Error;
+  EXPECT_FALSE(parseModule(Text, Error).has_value());
+  // Refused at the first parenthesis past the limit: line 3, whose
+  // first '(' sits in column 7.
+  EXPECT_NE(Error.find("line 3, col " + std::to_string(7 + MaxExprNesting) +
+                       ": expression nested too deeply"),
+            std::string::npos)
+      << Error;
+
+  // Unary minus and min/max calls nest too.
+  std::string Minus;
+  for (unsigned I = 0; I != Depth; ++I)
+    Minus += "-(";
+  Error.clear();
+  EXPECT_FALSE(parseModule("func f(a) {\nentry:\n  x = " + Minus + "a" +
+                               std::string(Depth, ')') + "\n  ret x\n}\n",
+                           Error)
+                   .has_value());
+  EXPECT_NE(Error.find("expression nested too deeply"), std::string::npos)
+      << Error;
+
+  // The limit itself still parses.
+  Error.clear();
+  EXPECT_TRUE(parseModule("func f(a) {\nentry:\n  x = " +
+                              std::string(MaxExprNesting, '(') + "a" +
+                              std::string(MaxExprNesting, ')') +
+                              "\n  ret x\n}\n",
+                          Error)
+                  .has_value())
+      << Error;
+}
+
 TEST(MalformedInput, NetworkDirectivesWithBadIntegersAreDiagnosed) {
   // Pre-hardening, replaying a network-mode reproducer whose cap (or any
   // other numeric directive) had been mutated to junk aborted the whole

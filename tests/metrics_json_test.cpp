@@ -13,11 +13,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interpreter.h"
+#include "ir/Printer.h"
+#include "pre/CompileService.h"
 #include "pre/ParallelDriver.h"
 #include "pre/PreDriver.h"
 #include "profile/Profile.h"
 #include "support/PassTimer.h"
 #include "workload/ProgramGenerator.h"
+#include "workload/SpecSuite.h"
 
 #include <gtest/gtest.h>
 
@@ -322,6 +325,50 @@ TEST(MetricsJson, ParallelCollectionLosesNothing) {
   }
 }
 
+TEST(MetricsJson, VerifyRunsOncePerFunctionWithCodeMotion) {
+  // Four SpecSuite benchmarks (each takes three arguments) as one module,
+  // compiled the way specpre-opt and the daemon compile a module.
+  ServeRequest R;
+  R.Strategy = PreStrategy::McSsaPre;
+  std::vector<std::string> Functions;
+  for (const BenchmarkSpec &B : fullCpu2006Suite()) {
+    if (B.Name != "gcc" && B.Name != "mcf" && B.Name != "namd" &&
+        B.Name != "soplex")
+      continue;
+    Functions.push_back(printFunction(B.buildProgram()));
+    R.ModuleText += Functions.back();
+    R.TrainArgs = B.TrainArgs;
+  }
+  ASSERT_EQ(Functions.size(), 4u);
+
+  auto Compile = [&](const std::string &Module, unsigned Jobs) {
+    ServeRequest One = R;
+    One.ModuleText = Module;
+    ParallelConfig PC;
+    PC.Jobs = Jobs;
+    ParallelPreDriver Driver(PC);
+    PipelineMetrics M;
+    ServeResponse Resp = processServeRequest(One, Driver, nullptr, &M);
+    EXPECT_EQ(Resp.ExitCode, 0) << Resp.StderrText;
+    return M;
+  };
+  uint64_t WithMotion = 0;
+  for (const std::string &F : Functions) {
+    PipelineMetrics M = Compile(F, 1);
+    EXPECT_GT(M.step(PipelineStep::CodeMotion).Invocations, 1u)
+        << "each function should have several code motions";
+    WithMotion += M.step(PipelineStep::CodeMotion).Invocations > 0;
+  }
+  for (unsigned Jobs : {1u, 4u}) {
+    PipelineMetrics M = Compile(R.ModuleText, Jobs);
+    EXPECT_EQ(M.step(PipelineStep::Verify).Invocations, WithMotion)
+        << "jobs=" << Jobs;
+    EXPECT_LT(M.step(PipelineStep::Verify).Invocations,
+              M.step(PipelineStep::CodeMotion).Invocations)
+        << "jobs=" << Jobs;
+  }
+}
+
 TEST(MetricsJson, MergeSumsShards) {
   PipelineMetrics A, B;
   A.note(PipelineStep::MinCut, 100, 7);
@@ -391,7 +438,8 @@ TEST(MetricsJson, DocumentBytesArePinned) {
   {"step": "min-cut", "invocations": 5, "millis": 12.535065, "problem_size": 5270},
   {"step": "safe-placement", "invocations": 6, "millis": 16.542096, "problem_size": 6330},
   {"step": "finalize", "invocations": 7, "millis": 21.049133, "problem_size": 7392},
-  {"step": "code-motion", "invocations": 8, "millis": 26.056176, "problem_size": 8456}
+  {"step": "code-motion", "invocations": 8, "millis": 26.056176, "problem_size": 8456},
+  {"step": "verify", "invocations": 9, "millis": 31.563225, "problem_size": 9522}
 ],
 "robustness": {"functions_compiled": 1001, "functions_degraded": 1002, "ladder_retries": 1003, "worker_failures": 1004},
 "arena": {"network_builds": 1005, "peak_bytes": 1006, "chunk_allocations": 1007},

@@ -436,6 +436,38 @@ TEST(ServeServerTest, MalformedFramesGetErrorsNotCrashes) {
   EXPECT_TRUE(R.Ok);
 }
 
+TEST(ServeServerTest, DeeplyNestedExpressionIsAServedError) {
+  // 100,000 nested parentheses in one 200 KB request: the in-process
+  // daemon parses it on a request worker's stack, so the parser's depth
+  // bound is what keeps the daemon alive for its next client.
+  ServerFixture Fix("deep");
+  ASSERT_TRUE(Fix.start().isOk());
+  Socket Conn = Fix.connect();
+  ASSERT_TRUE(Conn.valid());
+
+  const unsigned Depth = 100000;
+  ServeRequest Deep = basicRequest();
+  Deep.ModuleText = "func f(a, b, n) {\nentry:\n  x = " +
+                    std::string(Depth, '(') + "a" + std::string(Depth, ')') +
+                    "\n  ret x\n}\n";
+  ServeResponse Got = compileOver(Conn, Deep);
+  EXPECT_TRUE(Got.Ok) << "a parse error is a served failure";
+  EXPECT_EQ(Got.ExitCode, 1);
+  EXPECT_NE(Got.StderrText.find("expression nested too deeply"),
+            std::string::npos)
+      << Got.StderrText;
+
+  // A normal request on the same service is still answered, exactly.
+  ServeResponse Ref = localReference(basicRequest());
+  Socket Next = Fix.connect();
+  ASSERT_TRUE(Next.valid());
+  ServeResponse R = compileOver(Next, basicRequest());
+  EXPECT_TRUE(R.Ok);
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_EQ(R.StdoutText, Ref.StdoutText);
+  EXPECT_EQ(R.StderrText, Ref.StderrText);
+}
+
 TEST(ServeServerTest, StopDrainsInFlightRequests) {
   ServerFixture Fix("drain");
   ASSERT_TRUE(Fix.start().isOk());

@@ -10,6 +10,7 @@
 #include "analysis/Cfg.h"
 #include "analysis/DomTree.h"
 #include "interp/Interpreter.h"
+#include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "opt/Cleanup.h"
 #include "opt/ValueNumbering.h"
@@ -25,7 +26,20 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 using namespace specpre;
+
+namespace {
+
+double secondsSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+      .count();
+}
+
+} // namespace
 
 TEST(Stress, LargeProgramAllStrategies) {
   GeneratorConfig Cfg;
@@ -59,7 +73,6 @@ TEST(Stress, LargeProgramAllStrategies) {
     PreOptions PO;
     PO.Strategy = S;
     PO.Prof = &Prof;
-    PO.Verify = false; // the naive O(B^2) oracle is too slow at this size
     Function Opt = compileWithPre(Prepared, PO);
     if (Opt.IsSSA) {
       runValueNumbering(Opt);
@@ -106,7 +119,6 @@ TEST(Stress, DeepLoopNestProfileAndPre) {
   PreOptions PO;
   PO.Strategy = PreStrategy::McSsaPre;
   PO.Prof = &NodeOnly;
-  PO.Verify = false;
   Function Opt = compileWithPre(Prepared, PO);
   ExecResult Base = interpret(Prepared, Args, EO);
   ExecOptions EO2;
@@ -214,4 +226,68 @@ TEST(Stress, ArenaNetworkBuildsStayFlat) {
   EXPECT_EQ(McPreSteady.arena().NetworkBuilds,
             20 * McPreWarm.arena().NetworkBuilds);
   EXPECT_LE(McPreSteady.arena().PeakBytes, McPreWarm.arena().PeakBytes);
+}
+
+// Scaling pins. Each input is large enough that a quadratic stage takes
+// tens of seconds even in an optimized build, and each bound leaves more
+// than 10x headroom over the linear stage in an unoptimized one.
+
+TEST(Stress, ParseIsLinearInStatements) {
+  // 8,000 assignments (182 KB), each materializing a `t$` temp: fresh
+  // names that probe every earlier suffix make this quadratic.
+  std::string Text = "func big(a, b) {\nentry:\n";
+  for (unsigned K = 0; K != 8000; ++K)
+    Text += "  v" + std::to_string(K) + " = a * " + std::to_string(K) +
+            " + b\n";
+  Text += "  ret v7999\n}\n";
+  auto Start = std::chrono::steady_clock::now();
+  std::string Error;
+  std::optional<Module> M = parseModule(Text, Error);
+  double Seconds = secondsSince(Start);
+  ASSERT_TRUE(M.has_value()) << Error;
+  EXPECT_EQ(M->Functions.front().Blocks.front().Stmts.size(), 16001u);
+  EXPECT_LT(Seconds, 8.0) << "parsing 182 KB took " << Seconds << " s";
+}
+
+TEST(Stress, VerifierIsLinearInBlocks) {
+  // A chain of 16,000 SSA diamonds: level I's left arm computes from
+  // level I-1's join value, and its join merges that with the right arm's
+  // pass-through. Every use crosses blocks, so a dominance test that
+  // searches the CFG per use is quadratic.
+  const unsigned Levels = 16000;
+  Function F;
+  F.Name = "chain";
+  F.IsSSA = true;
+  VarId P = F.getOrAddVar("p"), V = F.getOrAddVar("v"),
+        A = F.getOrAddVar("a");
+  F.Params.push_back(P);
+  Operand Prev = Operand::makeVar(P, 1);
+  BlockId Head = F.addBlock("entry");
+  for (unsigned I = 1; I <= Levels; ++I) {
+    std::string N = std::to_string(I);
+    BlockId L = F.addBlock("l" + N), R = F.addBlock("r" + N),
+            J = F.addBlock("j" + N);
+    F.Blocks[Head].Stmts.push_back(
+        Stmt::makeBranch(Operand::makeVar(P, 1), L, R));
+    F.Blocks[L].Stmts.push_back(Stmt::makeCompute(
+        A, Opcode::Add, Prev, Operand::makeConst(1), static_cast<int>(I)));
+    F.Blocks[L].Stmts.push_back(Stmt::makeJump(J));
+    F.Blocks[R].Stmts.push_back(Stmt::makeJump(J));
+    F.Blocks[J].Stmts.push_back(Stmt::makePhi(
+        V,
+        {PhiArg{L, Operand::makeVar(A, static_cast<int>(I))},
+         PhiArg{R, Prev}},
+        static_cast<int>(I)));
+    Prev = Operand::makeVar(V, static_cast<int>(I));
+    Head = J;
+  }
+  F.Blocks[Head].Stmts.push_back(Stmt::makeRet(Prev));
+
+  auto Start = std::chrono::steady_clock::now();
+  std::string Error;
+  bool Ok = verifyFunction(F, Error);
+  double Seconds = secondsSince(Start);
+  EXPECT_TRUE(Ok) << Error;
+  EXPECT_LT(Seconds, 8.0) << "verifying " << F.numBlocks() << " blocks took "
+                          << Seconds << " s";
 }

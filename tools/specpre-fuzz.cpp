@@ -98,9 +98,12 @@ void emitReproducer(const Options &O, uint64_t CaseIdx,
                     const OracleFailure &Failure) {
   Function Reduced = Failing;
   if (O.Reduce) {
+    // A candidate is judged like the case itself: one whose compile
+    // throws reads as `uncaught-status` and is kept only if that was the
+    // original failure.
     ReducePredicate SameOracle = [&](const Function &Cand) {
-      std::optional<OracleFailure> F =
-          checkPipelineOracles(Cand, TrainArgs, VariantArgs);
+      std::optional<OracleFailure> F = guardOracles(
+          [&] { return checkPipelineOracles(Cand, TrainArgs, VariantArgs); });
       return F && F->Oracle == Failure.Oracle;
     };
     Reduced = reduceFunction(Failing, SameOracle);
@@ -137,22 +140,9 @@ int main(int Argc, char **Argv) {
 
   unsigned Failures = 0;
 
-  // Exit cleanly even if an oracle path that bypasses the degradation
-  // ladder lets a recoverable error escape (stored-profile and EFG replay
-  // modes compile without fallback).
-  auto Guarded = [](auto &&Fn) -> std::optional<OracleFailure> {
-    try {
-      return Fn();
-    } catch (const StatusException &E) {
-      return OracleFailure{"uncaught-status", E.status().toString()};
-    } catch (const std::exception &E) {
-      return OracleFailure{"uncaught-exception", E.what()};
-    }
-  };
-
   for (const std::string &Path : O.ReplayFiles) {
     if (std::optional<OracleFailure> F =
-            Guarded([&] { return replayCorpusFile(Path); })) {
+            guardOracles([&] { return replayCorpusFile(Path); })) {
       std::fprintf(stderr, "FAIL %s: oracle '%s': %s\n", Path.c_str(),
                    F->Oracle.c_str(), F->Message.c_str());
       ++Failures;
@@ -166,7 +156,7 @@ int main(int Argc, char **Argv) {
     std::vector<int64_t> TrainArgs = fuzzTrainArgs(F, O.Seed, C);
     std::vector<std::vector<int64_t>> VariantArgs =
         fuzzVariantArgs(F, O.Seed, C);
-    std::optional<OracleFailure> Failure = Guarded(
+    std::optional<OracleFailure> Failure = guardOracles(
         [&] { return checkPipelineOracles(F, TrainArgs, VariantArgs); });
     if (!Failure)
       continue;
@@ -181,7 +171,7 @@ int main(int Argc, char **Argv) {
   for (uint64_t C = 0; C != O.Networks; ++C) {
     NetworkCase Case = fuzzNetworkCase(O.Seed, C);
     std::optional<OracleFailure> F =
-        Guarded([&] { return checkNetworkOracles(Case, std::nullopt); });
+        guardOracles([&] { return checkNetworkOracles(Case, std::nullopt); });
     if (!F)
       continue;
     ++Failures;
