@@ -62,6 +62,30 @@ public:
   /// Nodes in dominator-tree preorder (root first).
   const std::vector<BlockId> &preorder() const { return Preorder; }
 
+  /// Walks the tree in preorder from the root, children in order, on an
+  /// explicit stack: a deep tree (a long chain of blocks) costs heap, not
+  /// call stack. \p Enter(B) runs before B's subtree and returns a token,
+  /// typically the marks of the stacks it pushes to; \p Exit(B, Token)
+  /// runs after the subtree, typically to pop back to those marks.
+  template <typename EnterFn, typename ExitFn>
+  void walk(EnterFn &&Enter, ExitFn &&Exit) const {
+    struct Open {
+      BlockId B;
+      int Out; ///< DfsOut[B]: a later node with a smaller DfsIn is inside.
+      decltype(Enter(Root)) T;
+    };
+    std::vector<Open> Path;
+    for (BlockId B : Preorder) {
+      while (!Path.empty() && Path.back().Out < DfsIn[B]) {
+        Exit(Path.back().B, Path.back().T);
+        Path.pop_back();
+      }
+      Path.push_back(Open{B, DfsOut[B], Enter(B)});
+    }
+    for (; !Path.empty(); Path.pop_back())
+      Exit(Path.back().B, Path.back().T);
+  }
+
 private:
   DomTree() = default;
 

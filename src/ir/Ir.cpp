@@ -56,60 +56,6 @@ bool specpre::opcodeCanFault(Opcode Op) {
   return Op == Opcode::Div || Op == Opcode::Mod;
 }
 
-int64_t specpre::evalOpcode(Opcode Op, int64_t L, int64_t R, bool &Faulted) {
-  // Arithmetic is performed on the unsigned representation so that overflow
-  // wraps deterministically, then converted back.
-  uint64_t UL = static_cast<uint64_t>(L);
-  uint64_t UR = static_cast<uint64_t>(R);
-  switch (Op) {
-  case Opcode::Add:
-    return static_cast<int64_t>(UL + UR);
-  case Opcode::Sub:
-    return static_cast<int64_t>(UL - UR);
-  case Opcode::Mul:
-    return static_cast<int64_t>(UL * UR);
-  case Opcode::Div:
-    if (R == 0 || (L == INT64_MIN && R == -1)) {
-      Faulted = true;
-      return 0;
-    }
-    return L / R;
-  case Opcode::Mod:
-    if (R == 0 || (L == INT64_MIN && R == -1)) {
-      Faulted = true;
-      return 0;
-    }
-    return L % R;
-  case Opcode::And:
-    return L & R;
-  case Opcode::Or:
-    return L | R;
-  case Opcode::Xor:
-    return L ^ R;
-  case Opcode::Shl:
-    return static_cast<int64_t>(UL << (UR & 63));
-  case Opcode::Shr:
-    return static_cast<int64_t>(UL >> (UR & 63));
-  case Opcode::Min:
-    return L < R ? L : R;
-  case Opcode::Max:
-    return L > R ? L : R;
-  case Opcode::CmpEq:
-    return L == R;
-  case Opcode::CmpNe:
-    return L != R;
-  case Opcode::CmpLt:
-    return L < R;
-  case Opcode::CmpLe:
-    return L <= R;
-  case Opcode::CmpGt:
-    return L > R;
-  case Opcode::CmpGe:
-    return L >= R;
-  }
-  SPECPRE_UNREACHABLE("bad opcode");
-}
-
 //===----------------------------------------------------------------------===//
 // Stmt
 //===----------------------------------------------------------------------===//

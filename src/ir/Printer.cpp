@@ -2,91 +2,140 @@
 
 #include "ir/Printer.h"
 
-#include "support/Diagnostics.h"
-
-#include <sstream>
+#include <charconv>
 
 using namespace specpre;
 
-std::string specpre::printOperand(const Function &F, const Operand &O) {
+// Every printer appends into one string: no stream, and no temporary
+// string per operand or statement.
+
+static void appendInt(std::string &Out, int64_t V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof Buf, V).ptr);
+}
+
+static void appendName(std::string &Out, const Function &F, VarId V,
+                       int Version) {
+  Out += F.varName(V);
+  if (Version > 0) {
+    Out += '#';
+    appendInt(Out, Version);
+  }
+}
+
+static void appendOperand(std::string &Out, const Function &F,
+                          const Operand &O) {
   if (O.isConst())
-    return std::to_string(O.Value);
-  std::string S = F.varName(O.Var);
-  if (O.Version > 0)
-    S += "#" + std::to_string(O.Version);
-  return S;
+    appendInt(Out, O.Value);
+  else
+    appendName(Out, F, O.Var, O.Version);
 }
 
-static std::string printDest(const Function &F, const Stmt &S) {
-  std::string D = F.varName(S.Dest);
-  if (S.DestVersion > 0)
-    D += "#" + std::to_string(S.DestVersion);
-  return D;
-}
-
-std::string specpre::printStmt(const Function &F, const Stmt &S) {
-  std::ostringstream OS;
+static void appendStmt(std::string &Out, const Function &F, const Stmt &S) {
+  if (S.definesValue()) {
+    appendName(Out, F, S.Dest, S.DestVersion);
+    Out += " = ";
+  }
   switch (S.Kind) {
   case StmtKind::Copy:
-    OS << printDest(F, S) << " = " << printOperand(F, S.Src0);
+    appendOperand(Out, F, S.Src0);
     break;
   case StmtKind::Compute: {
     const char *Sp = opcodeSpelling(S.Op);
-    if (S.Op == Opcode::Min || S.Op == Opcode::Max)
-      OS << printDest(F, S) << " = " << Sp << "(" << printOperand(F, S.Src0)
-         << ", " << printOperand(F, S.Src1) << ")";
-    else
-      OS << printDest(F, S) << " = " << printOperand(F, S.Src0) << " " << Sp
-         << " " << printOperand(F, S.Src1);
+    if (S.Op == Opcode::Min || S.Op == Opcode::Max) {
+      Out += Sp;
+      Out += '(';
+      appendOperand(Out, F, S.Src0);
+      Out += ", ";
+      appendOperand(Out, F, S.Src1);
+      Out += ')';
+    } else {
+      appendOperand(Out, F, S.Src0);
+      Out += ' ';
+      Out += Sp;
+      Out += ' ';
+      appendOperand(Out, F, S.Src1);
+    }
     break;
   }
   case StmtKind::Phi:
-    OS << printDest(F, S) << " = phi";
-    for (const PhiArg &A : S.PhiArgs)
-      OS << " [" << F.Blocks[A.Pred].Label << ": " << printOperand(F, A.Val)
-         << "]";
+    Out += "phi";
+    for (const PhiArg &A : S.PhiArgs) {
+      Out += " [";
+      Out += F.Blocks[A.Pred].Label;
+      Out += ": ";
+      appendOperand(Out, F, A.Val);
+      Out += ']';
+    }
     break;
   case StmtKind::Branch:
-    OS << "br " << printOperand(F, S.Src0) << ", "
-       << F.Blocks[S.TrueTarget].Label << ", "
-       << F.Blocks[S.FalseTarget].Label;
+    Out += "br ";
+    appendOperand(Out, F, S.Src0);
+    Out += ", ";
+    Out += F.Blocks[S.TrueTarget].Label;
+    Out += ", ";
+    Out += F.Blocks[S.FalseTarget].Label;
     break;
   case StmtKind::Jump:
-    OS << "jmp " << F.Blocks[S.TrueTarget].Label;
+    Out += "jmp ";
+    Out += F.Blocks[S.TrueTarget].Label;
     break;
   case StmtKind::Ret:
-    OS << "ret " << printOperand(F, S.Src0);
+    Out += "ret ";
+    appendOperand(Out, F, S.Src0);
     break;
   case StmtKind::Print:
-    OS << "print " << printOperand(F, S.Src0);
+    Out += "print ";
+    appendOperand(Out, F, S.Src0);
     break;
   }
-  return OS.str();
+}
+
+static void appendFunction(std::string &Out, const Function &F) {
+  Out += "func ";
+  Out += F.Name;
+  Out += '(';
+  for (unsigned I = 0; I != F.Params.size(); ++I) {
+    if (I != 0)
+      Out += ", ";
+    Out += F.varName(F.Params[I]);
+  }
+  Out += ") {\n";
+  for (const BasicBlock &BB : F.Blocks) {
+    Out += BB.Label;
+    Out += ":\n";
+    for (const Stmt &S : BB.Stmts) {
+      Out += "  ";
+      appendStmt(Out, F, S);
+      Out += '\n';
+    }
+  }
+  Out += "}\n";
+}
+
+std::string specpre::printOperand(const Function &F, const Operand &O) {
+  std::string Out;
+  appendOperand(Out, F, O);
+  return Out;
+}
+
+std::string specpre::printStmt(const Function &F, const Stmt &S) {
+  std::string Out;
+  appendStmt(Out, F, S);
+  return Out;
 }
 
 std::string specpre::printFunction(const Function &F) {
-  std::ostringstream OS;
-  OS << "func " << F.Name << "(";
-  for (unsigned I = 0; I != F.Params.size(); ++I) {
-    if (I != 0)
-      OS << ", ";
-    OS << F.varName(F.Params[I]);
-  }
-  OS << ") {\n";
-  for (const BasicBlock &BB : F.Blocks) {
-    OS << BB.Label << ":\n";
-    for (const Stmt &S : BB.Stmts)
-      OS << "  " << printStmt(F, S) << "\n";
-  }
-  OS << "}\n";
-  return OS.str();
+  std::string Out;
+  appendFunction(Out, F);
+  return Out;
 }
 
 std::string specpre::printModule(const Module &M) {
   std::string Out;
   for (const Function &F : M.Functions) {
-    Out += printFunction(F);
-    Out += "\n";
+    appendFunction(Out, F);
+    Out += '\n';
   }
   return Out;
 }

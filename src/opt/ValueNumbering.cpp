@@ -10,6 +10,7 @@
 #include <cassert>
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 using namespace specpre;
@@ -66,7 +67,13 @@ public:
       : F(F), C(F), DT(DomTree::buildDominators(C)) {}
 
   unsigned run() {
-    visit(0);
+    DT.walk([&](BlockId B) { return enter(B); },
+            [&](BlockId, std::pair<size_t, size_t> Marks) {
+              for (; ExprUndo.size() != Marks.first; ExprUndo.pop_back())
+                ExprTable.erase(ExprUndo.back());
+              for (; LeaderUndo.size() != Marks.second; LeaderUndo.pop_back())
+                Leader.erase(LeaderUndo.back());
+            });
     return Simplified;
   }
 
@@ -95,7 +102,10 @@ private:
     LeaderUndo.push_back(Key);
   }
 
-  void visit(BlockId B);
+  /// Numbers block B and canonicalizes its successors' phi arguments.
+  /// Returns the marks of ExprUndo and LeaderUndo to roll back to once
+  /// B's dominator subtree is done.
+  std::pair<size_t, size_t> enter(BlockId B);
 
   Function &F;
   Cfg C;
@@ -109,9 +119,8 @@ private:
   std::vector<ValueHandle> LeaderUndo;
 };
 
-void Gvn::visit(BlockId B) {
-  size_t ExprMark = ExprUndo.size();
-  size_t LeaderMark = LeaderUndo.size();
+std::pair<size_t, size_t> Gvn::enter(BlockId B) {
+  std::pair<size_t, size_t> Marks{ExprUndo.size(), LeaderUndo.size()};
 
   BasicBlock &BB = F.Blocks[B];
 
@@ -215,18 +224,7 @@ void Gvn::visit(BlockId B) {
         Arg = H.toOperand();
     }
   }
-
-  for (BlockId Child : DT.children(B))
-    visit(Child);
-
-  while (ExprUndo.size() > ExprMark) {
-    ExprTable.erase(ExprUndo.back());
-    ExprUndo.pop_back();
-  }
-  while (LeaderUndo.size() > LeaderMark) {
-    Leader.erase(LeaderUndo.back());
-    LeaderUndo.pop_back();
-  }
+  return Marks;
 }
 
 } // namespace

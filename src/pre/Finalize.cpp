@@ -54,7 +54,11 @@ public:
       D.PhiArgs.assign(P.Operands.size(), -1);
       PhiDefIdx[PI] = makeDef(std::move(D));
     }
-    visit(0);
+    DT.walk([&](BlockId B) { return enter(B); },
+            [&](BlockId, size_t Mark) {
+              for (; Provided.size() != Mark; Provided.pop_back())
+                AvailStack[Provided.back()].pop_back();
+            });
     markLiveness();
     return std::move(Plan);
   }
@@ -65,7 +69,10 @@ private:
     return static_cast<int>(Plan.TempDefs.size()) - 1;
   }
 
-  void visit(BlockId B);
+  /// Settles block B's occurrences and the Φ operands on its outgoing
+  /// edges. Returns the mark of Provided to pop back to once B's
+  /// dominator subtree is done.
+  size_t enter(BlockId B);
   void markLiveness();
 
   Frg &G;
@@ -78,11 +85,14 @@ private:
   /// Per redundancy class: stack of TempDef indices currently providing
   /// the value on the dominator path.
   std::vector<std::vector<int>> AvailStack;
+  /// The classes pushed onto AvailStack along the dominator-tree path, in
+  /// push order.
+  std::vector<int> Provided;
   std::vector<int> PhiDefIdx; ///< Per Φ: its TempDef index (wba only).
 };
 
-void Finalizer::visit(BlockId B) {
-  std::vector<int> PoppedClasses;
+size_t Finalizer::enter(BlockId B) {
+  size_t Mark = Provided.size();
 
   // 1. A will_be_avail Φ provides the value for its class from the top
   // of block B (its TempDef was pre-created in run()).
@@ -90,7 +100,7 @@ void Finalizer::visit(BlockId B) {
   if (PhiIdx >= 0 && G.phis()[PhiIdx].WillBeAvail) {
     const PhiOcc &P = G.phis()[PhiIdx];
     AvailStack[P.Class].push_back(PhiDefIdx[PhiIdx]);
-    PoppedClasses.push_back(P.Class);
+    Provided.push_back(P.Class);
   }
 
   // 2. Real occurrences: reload when a dominating definition of the same
@@ -109,7 +119,7 @@ void Finalizer::visit(BlockId B) {
     D.RealIdx = RI;
     int Idx = makeDef(std::move(D));
     Stack.push_back(Idx);
-    PoppedClasses.push_back(R.Class);
+    Provided.push_back(R.Class);
   }
 
   // 3. At the block's end, feed the operands of will_be_avail Φs in the
@@ -142,12 +152,7 @@ void Finalizer::visit(BlockId B) {
       Plan.TempDefs[PhiDefIdx[SuccPhi]].PhiArgs[OI] = SourceDef;
     }
   }
-
-  // 4. Dominator-tree recursion, then restore the stacks.
-  for (BlockId Child : DT.children(B))
-    visit(Child);
-  for (int Cls : PoppedClasses)
-    AvailStack[Cls].pop_back();
+  return Mark;
 }
 
 void Finalizer::markLiveness() {

@@ -14,6 +14,7 @@
 
 #include "support/Diagnostics.h"
 
+#include <utility>
 #include <vector>
 
 using namespace specpre;
@@ -38,7 +39,14 @@ public:
       VarStacks[P].push_back(1);
   }
 
-  void run() { visit(0); }
+  void run() {
+    DT.walk([&](BlockId B) { return enter(B); },
+            [&](BlockId, std::pair<size_t, size_t> Marks) {
+              ExprStack.resize(Marks.first);
+              for (; VarPushes.size() != Marks.second; VarPushes.pop_back())
+                VarStacks[VarPushes.back()].pop_back();
+            });
+  }
 
 private:
   struct StackEntry {
@@ -57,7 +65,10 @@ private:
 
   int newClass(OccRef Def) { return G.allocateClass(Def); }
 
-  void visit(BlockId B);
+  /// Renames block B's occurrences and fills the Φ operands on its
+  /// outgoing edges. Returns the marks of ExprStack and VarPushes to pop
+  /// back to once B's dominator subtree is done.
+  std::pair<size_t, size_t> enter(BlockId B);
   void handleReal(int RealIdx);
   void fillSuccessorOperands(BlockId B);
 
@@ -71,6 +82,9 @@ private:
 
   std::vector<std::vector<int>> RealAt;
   std::vector<std::vector<int>> VarStacks;
+  /// The operand variables pushed onto VarStacks along the dominator-tree
+  /// path, in push order.
+  std::vector<VarId> VarPushes;
   std::vector<StackEntry> ExprStack;
 };
 
@@ -163,10 +177,9 @@ void Renamer::fillSuccessorOperands(BlockId B) {
   }
 }
 
-void Renamer::visit(BlockId B) {
+std::pair<size_t, size_t> Renamer::enter(BlockId B) {
   const BasicBlock &BB = F.Blocks[B];
-  unsigned ExprPushed = 0;
-  std::vector<VarId> VarPushes;
+  std::pair<size_t, size_t> Marks{ExprStack.size(), VarPushes.size()};
 
   auto PushVarDef = [&](VarId V, int Version) {
     if (V != LVar && V != RVar)
@@ -190,13 +203,11 @@ void Renamer::visit(BlockId B) {
     ExprStack.push_back(
         StackEntry{P.Class, OccRef::phi(PhiIdx), P.LVerAtEntry,
                    P.RVerAtEntry});
-    ++ExprPushed;
   }
 
   // 3. Straight-line statements: real occurrences and operand kills.
   unsigned NextReal = 0;
   const std::vector<int> &RealsHere = RealAt[B];
-  unsigned StackBefore = static_cast<unsigned>(ExprStack.size());
   for (; I != BB.Stmts.size(); ++I) {
     const Stmt &S = BB.Stmts[I];
     if (NextReal != RealsHere.size() &&
@@ -207,20 +218,12 @@ void Renamer::visit(BlockId B) {
     if (S.definesValue())
       PushVarDef(S.Dest, S.DestVersion);
   }
-  ExprPushed += static_cast<unsigned>(ExprStack.size()) - StackBefore;
 
-  // 4. Assign Φ operands in CFG successors for the edges leaving B.
+  // 4. Assign Φ operands in CFG successors for the edges leaving B. The
+  // walk then visits B's dominator-tree children, and run()'s exit
+  // callback restores the stacks to Marks.
   fillSuccessorOperands(B);
-
-  // 5. Recurse over dominator-tree children.
-  for (BlockId Child : DT.children(B))
-    visit(Child);
-
-  // 6. Restore the stacks.
-  for (unsigned K = 0; K != ExprPushed; ++K)
-    ExprStack.pop_back();
-  for (VarId V : VarPushes)
-    VarStacks[V].pop_back();
+  return Marks;
 }
 
 } // namespace

@@ -81,15 +81,6 @@ bool Profile::verifyConservation(const Function &F, std::string &Error) const {
   return true;
 }
 
-Profile specpre::scaleProfile(const Profile &P, uint64_t Num, uint64_t Den) {
-  Profile R = P;
-  for (uint64_t &Freq : R.BlockFreq)
-    Freq = Freq * Num / Den;
-  for (auto &[Edge, Freq] : R.EdgeFreq)
-    Freq = Freq * Num / Den;
-  return R;
-}
-
 std::string specpre::serializeProfile(const Profile &P) {
   std::string Out = "specpre-profile v1\n";
   for (unsigned B = 0; B != P.BlockFreq.size(); ++B)

@@ -59,10 +59,6 @@ struct Profile {
   bool verifyConservation(const Function &F, std::string &Error) const;
 };
 
-/// Scales all frequencies of \p P by Num/Den (used to model stale or
-/// mismatched FDO training profiles).
-Profile scaleProfile(const Profile &P, uint64_t Num, uint64_t Den);
-
 /// Serializes a profile to a line-oriented text format (stable across
 /// versions: `block <id> <freq>` and `edge <from> <to> <freq>` lines),
 /// as an FDO build would persist between the training and optimizing

@@ -29,13 +29,15 @@ private:
 
   void insertPhis();
   void renameAll();
-  void renameBlock(BlockId B);
+  /// Renames block B and fills its successors' phi arguments. Returns the
+  /// mark of Pushed to pop back to once B's dominator subtree is done.
+  size_t renameBlock(BlockId B);
 
   int currentVersion(VarId V) const {
     return Stacks[V].empty() ? 0 : Stacks[V].back();
   }
 
-  void rewriteUse(Operand &O, const char *Where) {
+  void rewriteUse(Operand &O, unsigned StmtIdx) {
     if (!O.isVar())
       return;
     int Ver = currentVersion(O.Var);
@@ -43,14 +45,15 @@ private:
       throw StatusException(
           ErrorCode::InvalidInput,
           "SSA construction: use of undefined variable '" +
-              F.varName(O.Var) + "' in " + std::string(Where) +
-              " of function '" + F.Name + "'");
+              F.varName(O.Var) + "' in statement " +
+              std::to_string(StmtIdx) + " of function '" + F.Name + "'");
     O.Version = Ver;
   }
 
   int pushNewVersion(VarId V) {
     int Ver = ++Counter[V];
     Stacks[V].push_back(Ver);
+    Pushed.push_back(V);
     return Ver;
   }
 
@@ -59,7 +62,9 @@ private:
   DomTree DT;
   std::vector<std::vector<int>> Stacks; ///< per-var version stacks
   std::vector<int> Counter;             ///< per-var version counter
-  std::vector<unsigned> PushedInBlock;  ///< scratch: pushes per var in block
+  /// The variables pushed onto Stacks along the dominator-tree path, in
+  /// push order.
+  std::vector<VarId> Pushed;
 };
 
 DataFlowResult SsaBuilder::computeLiveness() {
@@ -130,16 +135,14 @@ void SsaBuilder::insertPhis() {
   }
 }
 
-void SsaBuilder::renameBlock(BlockId B) {
+size_t SsaBuilder::renameBlock(BlockId B) {
   BasicBlock &BB = F.Blocks[B];
-  std::vector<std::pair<VarId, unsigned>> Pushed;
+  size_t Mark = Pushed.size();
 
   for (unsigned I = 0; I != BB.Stmts.size(); ++I) {
     Stmt &S = BB.Stmts[I];
-    std::string Where = "statement " + std::to_string(I);
     if (S.Kind == StmtKind::Phi) {
       S.DestVersion = pushNewVersion(S.Dest);
-      Pushed.emplace_back(S.Dest, 1);
       continue;
     }
     switch (S.Kind) {
@@ -147,19 +150,17 @@ void SsaBuilder::renameBlock(BlockId B) {
     case StmtKind::Branch:
     case StmtKind::Ret:
     case StmtKind::Print:
-      rewriteUse(S.Src0, Where.c_str());
+      rewriteUse(S.Src0, I);
       break;
     case StmtKind::Compute:
-      rewriteUse(S.Src0, Where.c_str());
-      rewriteUse(S.Src1, Where.c_str());
+      rewriteUse(S.Src0, I);
+      rewriteUse(S.Src1, I);
       break;
     default:
       break;
     }
-    if (S.definesValue()) {
+    if (S.definesValue())
       S.DestVersion = pushNewVersion(S.Dest);
-      Pushed.emplace_back(S.Dest, 1);
-    }
   }
 
   // Fill in phi arguments of successors.
@@ -179,13 +180,7 @@ void SsaBuilder::renameBlock(BlockId B) {
       Arg.Version = Ver;
     }
   }
-
-  for (BlockId Child : DT.children(B))
-    renameBlock(Child);
-
-  for (auto [V, Count] : Pushed)
-    for (unsigned I = 0; I != Count; ++I)
-      Stacks[V].pop_back();
+  return Mark;
 }
 
 void SsaBuilder::renameAll() {
@@ -195,7 +190,11 @@ void SsaBuilder::renameAll() {
     Counter[P] = 1;
     Stacks[P].push_back(1); // implicit definition at entry, version 1
   }
-  renameBlock(0);
+  DT.walk([&](BlockId B) { return renameBlock(B); },
+          [&](BlockId, size_t Mark) {
+            for (; Pushed.size() != Mark; Pushed.pop_back())
+              Stacks[Pushed.back()].pop_back();
+          });
 }
 
 void SsaBuilder::run() {

@@ -49,7 +49,8 @@ struct CompileBudget {
 };
 
 /// Mutable accounting of a budget over one function compile (or one
-/// ladder rung). Shareable across the expression-parallel workers.
+/// ladder rung). A function compiles on one thread, which installs its
+/// tracker with BudgetScope.
 class BudgetTracker {
 public:
   explicit BudgetTracker(const CompileBudget &Limits);

@@ -89,16 +89,6 @@ TEST(Profile, EstimatedEdgeFrequenciesSplitUniformly) {
   EXPECT_LE(E.edgeFreq(0, 1), 5u);
 }
 
-TEST(Profile, ScaleProfile) {
-  Profile P;
-  P.reset(2, true);
-  P.BlockFreq = {100, 50};
-  P.EdgeFreq[{0, 1}] = 50;
-  Profile S = scaleProfile(P, 1, 2);
-  EXPECT_EQ(S.blockFreq(0), 50u);
-  EXPECT_EQ(S.edgeFreq(0, 1), 25u);
-}
-
 TEST(Profile, TrainRefInputsDiverge) {
   // Different inputs produce different block frequencies somewhere —
   // the premise of the FDO mismatch discussion in the paper.

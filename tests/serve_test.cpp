@@ -468,6 +468,44 @@ TEST(ServeServerTest, DeeplyNestedExpressionIsAServedError) {
   EXPECT_EQ(R.StderrText, Ref.StderrText);
 }
 
+TEST(ServeServerTest, DeepDominatorTreeIsServed) {
+  // A straight chain of 20,000 blocks, sent with the gvn flag: SSA
+  // renaming, FRG rename, finalize and GVN each walk a dominator tree
+  // 20,000 levels deep on a request worker's stack. The walks are
+  // iterative, so the in-process daemon answers and stays up.
+  ServerFixture Fix("chain");
+  ASSERT_TRUE(Fix.start().isOk());
+  Socket Conn = Fix.connect();
+  ASSERT_TRUE(Conn.valid());
+
+  const unsigned Blocks = 20000;
+  ServeRequest Chain = basicRequest();
+  Chain.Strategy = PreStrategy::SsaPre;
+  Chain.TrainArgs.reset();
+  Chain.Gvn = true;
+  Chain.ModuleText = "func chain(a, n) {\nentry:\n  v = n\n  jmp b0\n";
+  for (unsigned K = 0; K != Blocks; ++K) {
+    std::string Next = K + 1 == Blocks ? "done" : "b" + std::to_string(K + 1);
+    Chain.ModuleText +=
+        "b" + std::to_string(K) + ":\n  v = v + a\n  jmp " + Next + "\n";
+  }
+  Chain.ModuleText += "done:\n  ret v\n}\n";
+  ServeResponse Got = compileOver(Conn, Chain);
+  EXPECT_TRUE(Got.Ok) << Got.Error;
+  EXPECT_EQ(Got.ExitCode, 0) << Got.StderrText;
+  EXPECT_EQ(Got.StdoutText, localReference(Chain).StdoutText);
+
+  // A normal request on the same service is still answered, exactly.
+  ServeResponse Ref = localReference(basicRequest());
+  Socket Next = Fix.connect();
+  ASSERT_TRUE(Next.valid());
+  ServeResponse R = compileOver(Next, basicRequest());
+  EXPECT_TRUE(R.Ok);
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_EQ(R.StdoutText, Ref.StdoutText);
+  EXPECT_EQ(R.StderrText, Ref.StderrText);
+}
+
 TEST(ServeServerTest, StopDrainsInFlightRequests) {
   ServerFixture Fix("drain");
   ASSERT_TRUE(Fix.start().isOk());

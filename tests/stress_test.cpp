@@ -27,6 +27,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
+#include <pthread.h>
 #include <string>
 
 using namespace specpre;
@@ -37,6 +39,23 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
       .count();
+}
+
+/// Runs \p Body to completion on a new thread with a \p StackBytes stack.
+void runOnStackOf(size_t StackBytes, const std::function<void()> &Body) {
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&Attr, StackBytes), 0);
+  pthread_t Thread;
+  auto Trampoline = [](void *Arg) -> void * {
+    (*static_cast<const std::function<void()> *>(Arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&Thread, &Attr, Trampoline,
+                           const_cast<std::function<void()> *>(&Body)),
+            0);
+  pthread_join(Thread, nullptr);
+  pthread_attr_destroy(&Attr);
 }
 
 } // namespace
@@ -290,4 +309,44 @@ TEST(Stress, VerifierIsLinearInBlocks) {
   EXPECT_TRUE(Ok) << Error;
   EXPECT_LT(Seconds, 8.0) << "verifying " << F.numBlocks() << " blocks took "
                           << Seconds << " s";
+}
+
+TEST(Stress, DominatorTreeWalksNeedNoStackPerLevel) {
+  // A straight chain of 5,000 blocks has a dominator tree 5,000 levels
+  // deep. On a 256 KiB stack, a walk that recursed once per level (SSA
+  // renaming, FRG rename, finalize, GVN) overflows; the iterative walk
+  // compiles it under every SSA strategy, trained, and through GVN.
+  const unsigned Blocks = 5000;
+  std::string Text = "func chain(a, n) {\nentry:\n  v = n\n  jmp b0\n";
+  for (unsigned K = 0; K != Blocks; ++K) {
+    std::string Next = K + 1 == Blocks ? "done" : "b" + std::to_string(K + 1);
+    Text += "b" + std::to_string(K) + ":\n  v = v + a\n  jmp " + Next + "\n";
+  }
+  Text += "done:\n  ret v\n}\n";
+  const std::vector<int64_t> Args = {3, 4};
+
+  runOnStackOf(256 * 1024, [&] {
+    Function Prepared = parseFunctionOrDie(Text);
+    prepareFunction(Prepared);
+    Profile Prof;
+    ExecOptions EO;
+    EO.CollectProfile = &Prof;
+    ExecResult Train = interpret(Prepared, Args, EO);
+    ASSERT_EQ(Train.ReturnValue, 4 + 3 * int64_t(Blocks));
+    for (PreStrategy S : {PreStrategy::SsaPre, PreStrategy::SsaPreSpec,
+                          PreStrategy::McSsaPre, PreStrategy::Lospre}) {
+      SCOPED_TRACE(strategyName(S));
+      PreOptions PO;
+      PO.Strategy = S;
+      PO.Prof = &Prof;
+      Function Opt = compileWithPre(Prepared, PO);
+      EXPECT_TRUE(interpret(Opt, Args).sameObservableBehavior(Train));
+      if (S != PreStrategy::SsaPre)
+        continue;
+      runValueNumbering(Opt);
+      std::string Error;
+      EXPECT_TRUE(verifyFunction(Opt, Error)) << Error;
+      EXPECT_TRUE(interpret(Opt, Args).sameObservableBehavior(Train));
+    }
+  });
 }
