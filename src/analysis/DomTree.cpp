@@ -5,6 +5,7 @@
 #include "support/Diagnostics.h"
 
 #include <algorithm>
+#include <cstdint>
 
 using namespace specpre;
 
@@ -85,6 +86,21 @@ void DomTree::buildTree() {
       DfsOut[B] = -1;
     }
   }
+}
+
+void DomTree::sortInPreorder(std::vector<BlockId> &Nodes) const {
+  // Sorting the keys beside the ids compares adjacent words, not DfsIn
+  // entries scattered over the whole tree.
+  std::vector<uint64_t> Keyed;
+  Keyed.reserve(Nodes.size());
+  for (BlockId B : Nodes)
+    Keyed.push_back(static_cast<uint64_t>(DfsIn[B]) << 32 |
+                    static_cast<uint32_t>(B));
+  std::sort(Keyed.begin(), Keyed.end());
+  Keyed.erase(std::unique(Keyed.begin(), Keyed.end()), Keyed.end());
+  Nodes.clear();
+  for (uint64_t K : Keyed)
+    Nodes.push_back(static_cast<BlockId>(static_cast<uint32_t>(K)));
 }
 
 DomTree DomTree::buildDominators(const Cfg &C) {

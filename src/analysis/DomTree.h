@@ -62,20 +62,30 @@ public:
   /// Nodes in dominator-tree preorder (root first).
   const std::vector<BlockId> &preorder() const { return Preorder; }
 
-  /// Walks the tree in preorder from the root, children in order, on an
-  /// explicit stack: a deep tree (a long chain of blocks) costs heap, not
-  /// call stack. \p Enter(B) runs before B's subtree and returns a token,
-  /// typically the marks of the stacks it pushes to; \p Exit(B, Token)
-  /// runs after the subtree, typically to pop back to those marks.
+  /// Increases along preorder(): A precedes B there exactly when
+  /// preorderKey(A) < preorderKey(B). Nodes with info only.
+  int preorderKey(BlockId B) const { return DfsIn[B]; }
+
+  /// Sorts \p Nodes, all with info, into preorder and drops duplicates.
+  void sortInPreorder(std::vector<BlockId> &Nodes) const;
+
+  /// Walks \p Nodes, a preorder-sorted list of nodes with info, as the
+  /// forest they induce, on an explicit stack: a deep tree (a long chain
+  /// of blocks) costs heap, not call stack. \p Enter(B) runs for each node
+  /// in order and returns a token, typically the marks of the stacks it
+  /// pushes to; \p Exit(B, Token) runs once B's listed descendants are
+  /// done, typically to pop back to those marks. Enter(B) therefore sees
+  /// exactly what the listed dominators of B pushed.
   template <typename EnterFn, typename ExitFn>
-  void walk(EnterFn &&Enter, ExitFn &&Exit) const {
+  void walk(const std::vector<BlockId> &Nodes, EnterFn &&Enter,
+            ExitFn &&Exit) const {
     struct Open {
       BlockId B;
       int Out; ///< DfsOut[B]: a later node with a smaller DfsIn is inside.
       decltype(Enter(Root)) T;
     };
     std::vector<Open> Path;
-    for (BlockId B : Preorder) {
+    for (BlockId B : Nodes) {
       while (!Path.empty() && Path.back().Out < DfsIn[B]) {
         Exit(Path.back().B, Path.back().T);
         Path.pop_back();
@@ -84,6 +94,12 @@ public:
     }
     for (; !Path.empty(); Path.pop_back())
       Exit(Path.back().B, Path.back().T);
+  }
+
+  /// The walk over the whole tree, from the root.
+  template <typename EnterFn, typename ExitFn>
+  void walk(EnterFn &&Enter, ExitFn &&Exit) const {
+    walk(Preorder, Enter, Exit);
   }
 
 private:

@@ -9,6 +9,7 @@ using namespace specpre;
 DominanceFrontier::DominanceFrontier(const Cfg &C, const DomTree &DT) {
   unsigned N = C.numBlocks();
   Df.assign(N, {});
+  ReachedBy.assign(N, 0);
   // Cytron et al.: for each join block X, walk each predecessor's idom
   // chain up to (but excluding) idom(X), adding X to every frontier.
   for (unsigned X = 0; X != N; ++X) {
@@ -35,16 +36,16 @@ DominanceFrontier::DominanceFrontier(const Cfg &C, const DomTree &DT) {
 
 std::vector<BlockId> DominanceFrontier::iterated(
     const std::vector<BlockId> &Seeds) const {
-  std::vector<bool> InResult(Df.size(), false);
+  const unsigned Call = ++Calls;
   std::vector<BlockId> Work(Seeds.begin(), Seeds.end());
   std::vector<BlockId> Result;
   while (!Work.empty()) {
     BlockId B = Work.back();
     Work.pop_back();
     for (BlockId D : Df[B]) {
-      if (InResult[D])
+      if (ReachedBy[D] == Call)
         continue;
-      InResult[D] = true;
+      ReachedBy[D] = Call;
       Result.push_back(D);
       Work.push_back(D);
     }

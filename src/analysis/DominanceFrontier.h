@@ -29,11 +29,17 @@ public:
   /// Dominance frontier of block \p B (sorted, no duplicates).
   const std::vector<BlockId> &frontier(BlockId B) const { return Df[B]; }
 
-  /// Iterated dominance frontier DF+ of the given seed set (sorted).
+  /// Iterated dominance frontier DF+ of the given seed set (sorted). Its
+  /// cost follows the frontiers it visits, not the function: membership
+  /// marks persist between calls, so one object must not be queried from
+  /// two threads at once.
   std::vector<BlockId> iterated(const std::vector<BlockId> &Seeds) const;
 
 private:
   std::vector<std::vector<BlockId>> Df;
+  /// Per block, the iterated() call that last reached it (0 = none yet).
+  mutable std::vector<unsigned> ReachedBy;
+  mutable unsigned Calls = 0;
 };
 
 } // namespace specpre

@@ -2,7 +2,7 @@
 
 #include "pre/ExprKey.h"
 
-#include <algorithm>
+#include <unordered_map>
 
 using namespace specpre;
 
@@ -13,10 +13,31 @@ std::string ExprKey::toString(const Function &F) const {
   return Side(L) + " " + opcodeSpelling(Op) + " " + Side(R);
 }
 
-std::vector<ExprKey> specpre::collectCandidateExprs(const Function &F) {
+namespace {
+
+struct ExprKeyHash {
+  size_t operator()(const ExprKey &K) const {
+    uint64_t H = static_cast<uint64_t>(K.Op);
+    for (const OperandKey *O : {&K.L, &K.R}) {
+      uint64_t Side = O->IsConst ? static_cast<uint64_t>(O->Const) * 2 + 1
+                                 : static_cast<uint64_t>(O->Var) * 2;
+      H = (H ^ Side) * 0x9e3779b97f4a7c15ull;
+      H ^= H >> 29;
+    }
+    return static_cast<size_t>(H);
+  }
+};
+
+} // namespace
+
+std::vector<ExprKey> specpre::collectCandidateExprs(
+    const Function &F, std::vector<std::vector<BlockId>> *OccurrenceBlocks) {
   std::vector<ExprKey> Keys;
-  for (const BasicBlock &BB : F.Blocks) {
-    for (const Stmt &S : BB.Stmts) {
+  std::unordered_map<ExprKey, unsigned, ExprKeyHash> Index;
+  if (OccurrenceBlocks)
+    OccurrenceBlocks->clear();
+  for (unsigned B = 0; B != F.numBlocks(); ++B) {
+    for (const Stmt &S : F.Blocks[B].Stmts) {
       if (S.Kind != StmtKind::Compute)
         continue;
       if (S.Src0.isConst() && S.Src1.isConst())
@@ -25,8 +46,16 @@ std::vector<ExprKey> specpre::collectCandidateExprs(const Function &F) {
       K.Op = S.Op;
       K.L = OperandKey::of(S.Src0);
       K.R = OperandKey::of(S.Src1);
-      if (std::find(Keys.begin(), Keys.end(), K) == Keys.end())
+      auto [It, New] = Index.try_emplace(K, static_cast<unsigned>(Keys.size()));
+      if (New)
         Keys.push_back(K);
+      if (!OccurrenceBlocks)
+        continue;
+      if (New)
+        OccurrenceBlocks->emplace_back();
+      std::vector<BlockId> &Blocks = (*OccurrenceBlocks)[It->second];
+      if (Blocks.empty() || Blocks.back() != static_cast<BlockId>(B))
+        Blocks.push_back(static_cast<BlockId>(B));
     }
   }
   return Keys;

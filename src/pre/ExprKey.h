@@ -73,8 +73,12 @@ struct ExprKey {
 
 /// Collects every candidate expression of \p F in a deterministic order
 /// (first occurrence order). Expressions whose operands are both constants
-/// are skipped — they belong to constant folding, not PRE.
-std::vector<ExprKey> collectCandidateExprs(const Function &F);
+/// are skipped — they belong to constant folding, not PRE. When
+/// \p OccurrenceBlocks is non-null, it receives, per candidate, the
+/// ascending ids of the blocks it occurs in.
+std::vector<ExprKey> collectCandidateExprs(
+    const Function &F,
+    std::vector<std::vector<BlockId>> *OccurrenceBlocks = nullptr);
 
 } // namespace specpre
 

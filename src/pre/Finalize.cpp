@@ -22,11 +22,7 @@ namespace {
 
 class Finalizer {
 public:
-  explicit Finalizer(Frg &G)
-      : G(G), F(G.function()), C(G.cfg()), DT(G.domTree()) {
-    RealAt.assign(F.numBlocks(), {});
-    for (unsigned I = 0; I != G.reals().size(); ++I)
-      RealAt[G.reals()[I].Block].push_back(static_cast<int>(I));
+  explicit Finalizer(Frg &G) : G(G), C(G.cfg()), DT(G.domTree()) {
     AvailStack.assign(static_cast<unsigned>(G.numClasses()), {});
     PhiDefIdx.assign(G.phis().size(), -1);
   }
@@ -40,7 +36,12 @@ public:
     // Pre-create the temp-phi definitions for all will_be_avail Φs so
     // that predecessor blocks can fill their operands regardless of the
     // dominator-tree visit order (a predecessor may well be visited
-    // before the join block itself).
+    // before the join block itself). The walk visits only the blocks
+    // that provide or consume a value: those of reals, of will_be_avail
+    // Φs and of their predecessors.
+    std::vector<BlockId> Nodes;
+    for (const RealOcc &R : G.reals())
+      Nodes.push_back(R.Block);
     for (unsigned PI = 0; PI != G.phis().size(); ++PI) {
       const PhiOcc &P = G.phis()[PI];
       if (!P.WillBeAvail)
@@ -49,12 +50,17 @@ public:
       D.K = TempDef::Kind::Phi;
       D.Block = P.Block;
       D.PhiIdx = static_cast<int>(PI);
-      for (const PhiOperand &Op : P.Operands)
+      Nodes.push_back(P.Block);
+      for (const PhiOperand &Op : P.Operands) {
         D.PhiPreds.push_back(Op.Pred);
+        if (C.isReachable(Op.Pred))
+          Nodes.push_back(Op.Pred);
+      }
       D.PhiArgs.assign(P.Operands.size(), -1);
       PhiDefIdx[PI] = makeDef(std::move(D));
     }
-    DT.walk([&](BlockId B) { return enter(B); },
+    DT.sortInPreorder(Nodes);
+    DT.walk(Nodes, [&](BlockId B) { return enter(B); },
             [&](BlockId, size_t Mark) {
               for (; Provided.size() != Mark; Provided.pop_back())
                 AvailStack[Provided.back()].pop_back();
@@ -70,18 +76,16 @@ private:
   }
 
   /// Settles block B's occurrences and the Φ operands on its outgoing
-  /// edges. Returns the mark of Provided to pop back to once B's
-  /// dominator subtree is done.
+  /// edges. Returns the mark of Provided to pop back to once B's listed
+  /// dominator-tree descendants are done.
   size_t enter(BlockId B);
   void markLiveness();
 
   Frg &G;
-  const Function &F;
   const Cfg &C;
   const DomTree &DT;
 
   FinalizePlan Plan;
-  std::vector<std::vector<int>> RealAt;
   /// Per redundancy class: stack of TempDef indices currently providing
   /// the value on the dominator path.
   std::vector<std::vector<int>> AvailStack;
@@ -105,7 +109,8 @@ size_t Finalizer::enter(BlockId B) {
 
   // 2. Real occurrences: reload when a dominating definition of the same
   // class exists, otherwise compute (and provide the value).
-  for (int RI : RealAt[B]) {
+  auto [First, Last] = G.realsIn(B);
+  for (unsigned RI = First; RI != Last; ++RI) {
     RealOcc &R = G.reals()[RI];
     std::vector<int> &Stack = AvailStack[R.Class];
     if (!Stack.empty()) {
@@ -116,7 +121,7 @@ size_t Finalizer::enter(BlockId B) {
     TempDef D;
     D.K = TempDef::Kind::RealSave;
     D.Block = B;
-    D.RealIdx = RI;
+    D.RealIdx = static_cast<int>(RI);
     int Idx = makeDef(std::move(D));
     Stack.push_back(Idx);
     Provided.push_back(R.Class);

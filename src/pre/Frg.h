@@ -18,6 +18,10 @@
 ///     occurrences dominated by same-version real occurrences as
 ///     rg_excluded (paper Section 3.1.3).
 ///
+/// Both steps are sparse: FrgSites holds the facts they need about the
+/// whole function, computed once per function, and each candidate's steps
+/// visit only its occurrence blocks, its Φ blocks and their predecessors.
+///
 /// Everything downstream (DownSafety/WillBeAvail for SSAPRE; data flow,
 /// graph reduction, EFG and min-cut for MC-SSAPRE; the shared Finalize
 /// and CodeMotion) consumes this structure.
@@ -28,11 +32,13 @@
 #define SPECPRE_PRE_FRG_H
 
 #include "analysis/Cfg.h"
+#include "analysis/DominanceFrontier.h"
 #include "analysis/DomTree.h"
 #include "ir/Ir.h"
 #include "pre/ExprKey.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace specpre {
@@ -121,11 +127,100 @@ struct PhiOcc {
   bool WillBeAvail = false;
 };
 
+/// The facts about one function that the FRGs of its candidates read,
+/// built in one pass over the function: the dominance frontier, the
+/// candidates and the blocks each occurs in, and per variable its phi
+/// blocks and its defining blocks in dominator-tree preorder.
+///
+/// The facts stay valid while the per-candidate loop rewrites the
+/// function. A code motion only adds definitions of its fresh temp and
+/// turns its own candidate's computations into copies with the same
+/// destination and version, so no candidate's occurrence blocks and no
+/// variable definition move. Statement indices do shift, which is why
+/// the FRG rescans its occurrence blocks in the current function.
+class FrgSites {
+public:
+  /// Facts for every candidate of \p F, in collectCandidateExprs order.
+  /// \p F must be in SSA form; \p C and \p DT must be current for it.
+  FrgSites(const Function &F, const Cfg &C, const DomTree &DT);
+
+  /// Facts for the one candidate \p E.
+  FrgSites(const Function &F, const Cfg &C, const DomTree &DT,
+           const ExprKey &E);
+
+  const Cfg &cfg() const { return C; }
+  const DomTree &domTree() const { return DT; }
+  const std::vector<ExprKey> &candidates() const { return Candidates; }
+
+  /// The reachable blocks candidate \p EI occurs in, ascending.
+  const std::vector<BlockId> &occurrenceBlocks(unsigned EI) const {
+    return OccurrenceBlocks[EI];
+  }
+
+  /// The reachable blocks with a phi of \p V.
+  const std::vector<BlockId> &phiBlocks(VarId V) const {
+    return Vars[V].PhiBlocks;
+  }
+
+  /// The version of \p V after the phis of block \p B, where B's
+  /// expression Φ sits, and at the end of B: the version of its nearest
+  /// dominating definition. A parameter is version 1 from the entry on;
+  /// 0 means undefined, and so does InvalidVar (a constant operand).
+  int versionAfterPhis(VarId V, BlockId B) const;
+  int versionAtEnd(VarId V, BlockId B) const;
+
+  /// True if a phi of \p V at \p Join takes anything but a version of V
+  /// along the edge from \p Pred (hand-written or copy-propagated SSA).
+  bool substitutes(VarId V, BlockId Join, BlockId Pred) const;
+
+  /// The iterated dominance frontier of \p Seeds (sorted).
+  std::vector<BlockId> iteratedFrontier(
+      const std::vector<BlockId> &Seeds) const {
+    return DF.iterated(Seeds);
+  }
+
+private:
+  /// A reachable block that defines a variable.
+  struct DefSite {
+    BlockId Block = InvalidBlock;
+    int Key = 0;        ///< DT.preorderKey(Block).
+    int PhiVersion = 0; ///< Version B's last phi of the variable defines.
+    int EndVersion = 0; ///< Version live at the block's end.
+    int Parent = -1;    ///< Nearest strictly dominating DefSite, or -1.
+  };
+
+  struct VarSites {
+    bool IsParam = false;
+    std::vector<BlockId> PhiBlocks;
+    std::vector<DefSite> Defs; ///< In dominator-tree preorder.
+    /// (join, predecessor) edges along which a phi of the variable takes
+    /// something else, ascending.
+    std::vector<std::pair<BlockId, BlockId>> Substituted;
+  };
+
+  void collectVarSites(const Function &F);
+  /// Index into VS.Defs of the nearest definition dominating \p B (B
+  /// included), or -1.
+  int nearestDef(const VarSites &VS, BlockId B) const;
+
+  const Cfg &C;
+  const DomTree &DT;
+  DominanceFrontier DF;
+  std::vector<ExprKey> Candidates;
+  std::vector<std::vector<BlockId>> OccurrenceBlocks;
+  std::vector<VarSites> Vars;
+};
+
 /// The FRG for one candidate expression in one function.
 class Frg {
 public:
-  /// Builds the FRG (steps 1 and 2). \p F must be in SSA form with
-  /// critical edges split; \p C and \p DT must be current for F.
+  /// Builds the FRG (steps 1 and 2) of candidate \p Candidate of
+  /// \p Sites, against \p F as earlier candidates' code motions left it.
+  /// \p F must be in SSA form with critical edges split.
+  Frg(const Function &F, const FrgSites &Sites, unsigned Candidate);
+
+  /// Builds the FRG of \p E through a FrgSites for \p E alone; \p C and
+  /// \p DT must be current for \p F.
   Frg(const Function &F, const Cfg &C, const DomTree &DT, const ExprKey &E);
 
   const ExprKey &expr() const { return E; }
@@ -139,7 +234,11 @@ public:
   const std::vector<PhiOcc> &phis() const { return Phis; }
 
   /// Index into phis() of the Φ at block \p B, or -1.
-  int phiAt(BlockId B) const { return PhiAtBlock[B]; }
+  int phiAt(BlockId B) const;
+
+  /// The index range [first, second) of reals() in block \p B (reals()
+  /// is ordered by block, then statement).
+  std::pair<unsigned, unsigned> realsIn(BlockId B) const;
 
   int numClasses() const { return NumClasses; }
 
@@ -170,8 +269,7 @@ private:
   ExprKey E;
 
   std::vector<RealOcc> Reals;
-  std::vector<PhiOcc> Phis;
-  std::vector<int> PhiAtBlock;
+  std::vector<PhiOcc> Phis; ///< Ordered by block.
   std::vector<OccRef> ClassDefs;
   int NumClasses = 0;
 };

@@ -19,9 +19,9 @@ namespace detail {
 
 /// Step 2 of SSAPRE/MC-SSAPRE: assigns redundancy classes to all
 /// occurrences, fills Φ operands (class, has_real_use, versions at the
-/// predecessor ends) and marks rg_excluded real occurrences. Defined in
-/// FrgRename.cpp.
-void renameFrg(Frg &G);
+/// predecessor ends) and marks rg_excluded real occurrences, reading
+/// operand versions from \p Sites. Defined in FrgRename.cpp.
+void renameFrg(Frg &G, const FrgSites &Sites);
 
 } // namespace detail
 } // namespace specpre

@@ -8,13 +8,18 @@
 // 2): real occurrences are always pushed, and a real occurrence whose
 // versions match a dominating *real* occurrence is marked rg_excluded.
 //
+// The walk is sparse. It visits only the blocks of real occurrences, of
+// Φs and of Φ predecessors, which are the only blocks that push onto the
+// expression stack or read it. A real occurrence carries its own operand
+// versions; the versions at a Φ and at a predecessor's end are those of
+// the nearest dominating definitions, read from FrgSites.
+//
 //===----------------------------------------------------------------------===//
 
 #include "pre/FrgInternal.h"
 
 #include "support/Diagnostics.h"
 
-#include <utility>
 #include <vector>
 
 using namespace specpre;
@@ -23,29 +28,25 @@ namespace {
 
 class Renamer {
 public:
-  explicit Renamer(Frg &G)
-      : G(G), F(G.function()), C(G.cfg()), DT(G.domTree()) {
-    LIsConst = G.expr().L.IsConst;
-    RIsConst = G.expr().R.IsConst;
-    LVar = LIsConst ? InvalidVar : G.expr().L.Var;
-    RVar = RIsConst ? InvalidVar : G.expr().R.Var;
-    // Index real occurrences by (block, stmt) for the walk.
-    RealAt.assign(F.numBlocks(), {});
-    for (unsigned I = 0; I != G.reals().size(); ++I)
-      RealAt[G.reals()[I].Block].push_back(static_cast<int>(I));
-    // Variable version stacks; parameters carry version 1 at entry.
-    VarStacks.assign(F.numVars(), {});
-    for (VarId P : F.Params)
-      VarStacks[P].push_back(1);
+  Renamer(Frg &G, const FrgSites &Sites)
+      : G(G), Sites(Sites), C(G.cfg()), DT(G.domTree()) {
+    LVar = G.expr().L.IsConst ? InvalidVar : G.expr().L.Var;
+    RVar = G.expr().R.IsConst ? InvalidVar : G.expr().R.Var;
   }
 
   void run() {
-    DT.walk([&](BlockId B) { return enter(B); },
-            [&](BlockId, std::pair<size_t, size_t> Marks) {
-              ExprStack.resize(Marks.first);
-              for (; VarPushes.size() != Marks.second; VarPushes.pop_back())
-                VarStacks[VarPushes.back()].pop_back();
-            });
+    std::vector<BlockId> Nodes;
+    for (const RealOcc &R : G.reals())
+      Nodes.push_back(R.Block);
+    for (const PhiOcc &P : G.phis()) {
+      Nodes.push_back(P.Block);
+      for (const PhiOperand &Op : P.Operands)
+        if (C.isReachable(Op.Pred))
+          Nodes.push_back(Op.Pred);
+    }
+    DT.sortInPreorder(Nodes);
+    DT.walk(Nodes, [&](BlockId B) { return enter(B); },
+            [&](BlockId, size_t Mark) { ExprStack.resize(Mark); });
   }
 
 private:
@@ -55,36 +56,22 @@ private:
     int LVer = 0, RVer = 0;
   };
 
-  int curVer(VarId V) const {
-    if (V == InvalidVar)
-      return 0; // constant operand: versionless, always "current"
-    return VarStacks[V].empty() ? 0 : VarStacks[V].back();
-  }
-  int curL() const { return curVer(LVar); }
-  int curR() const { return curVer(RVar); }
-
   int newClass(OccRef Def) { return G.allocateClass(Def); }
 
   /// Renames block B's occurrences and fills the Φ operands on its
-  /// outgoing edges. Returns the marks of ExprStack and VarPushes to pop
-  /// back to once B's dominator subtree is done.
-  std::pair<size_t, size_t> enter(BlockId B);
+  /// outgoing edges. Returns the mark of ExprStack to pop back to once
+  /// B's listed dominator-tree descendants are done.
+  size_t enter(BlockId B);
   void handleReal(int RealIdx);
   void fillSuccessorOperands(BlockId B);
 
   Frg &G;
-  const Function &F;
+  const FrgSites &Sites;
   const Cfg &C;
   const DomTree &DT;
 
-  bool LIsConst = false, RIsConst = false;
   VarId LVar = InvalidVar, RVar = InvalidVar;
 
-  std::vector<std::vector<int>> RealAt;
-  std::vector<std::vector<int>> VarStacks;
-  /// The operand variables pushed onto VarStacks along the dominator-tree
-  /// path, in push order.
-  std::vector<VarId> VarPushes;
   std::vector<StackEntry> ExprStack;
 };
 
@@ -119,11 +106,16 @@ void Renamer::handleReal(int RealIdx) {
 }
 
 void Renamer::fillSuccessorOperands(BlockId B) {
+  int LEnd = -1, REnd = -1; // read at the first successor with a Φ
   for (BlockId S : C.succs(B)) {
     int PhiIdx = G.phiAt(S);
     if (PhiIdx < 0)
       continue;
     PhiOcc &P = G.phis()[PhiIdx];
+    if (LEnd < 0) {
+      LEnd = Sites.versionAtEnd(LVar, B);
+      REnd = Sites.versionAtEnd(RVar, B);
+    }
 
     // An expression operand variable may be redefined by a variable phi
     // at the join. In SSA fresh from construction each phi argument is a
@@ -135,27 +127,15 @@ void Renamer::fillSuccessorOperands(BlockId B) {
     // insert-blocked ⊥. The same holds when an operand variable is still
     // undefined at the end of B.
     bool Blocked = false;
-    for (VarId V : {LVar, RVar}) {
-      if (V == InvalidVar)
-        continue;
-      if (curVer(V) == 0)
+    for (auto [V, End] : {std::pair{LVar, LEnd}, std::pair{RVar, REnd}})
+      if (V != InvalidVar && (End == 0 || Sites.substitutes(V, S, B)))
         Blocked = true;
-      for (const Stmt &St : F.Blocks[S].Stmts) {
-        if (St.Kind != StmtKind::Phi)
-          break;
-        if (St.Dest != V)
-          continue;
-        const Operand &Arg = St.phiArgForPred(B);
-        if (!Arg.isVar() || Arg.Var != V)
-          Blocked = true;
-      }
-    }
 
     for (PhiOperand &Op : P.Operands) {
       if (Op.Pred != B)
         continue;
-      Op.LVerAtPredEnd = curL();
-      Op.RVerAtPredEnd = curR();
+      Op.LVerAtPredEnd = LEnd;
+      Op.RVerAtPredEnd = REnd;
       if (Blocked) {
         Op.Class = -1;
         Op.InsertBlocked = true;
@@ -166,7 +146,7 @@ void Renamer::fillSuccessorOperands(BlockId B) {
         continue;
       }
       const StackEntry &Top = ExprStack.back();
-      if (Top.LVer == curL() && Top.RVer == curR()) {
+      if (Top.LVer == LEnd && Top.RVer == REnd) {
         Op.Class = Top.Class;
         Op.Def = G.classDef(Top.Class);
         Op.HasRealUse = Top.Occ.isReal();
@@ -177,58 +157,37 @@ void Renamer::fillSuccessorOperands(BlockId B) {
   }
 }
 
-std::pair<size_t, size_t> Renamer::enter(BlockId B) {
-  const BasicBlock &BB = F.Blocks[B];
-  std::pair<size_t, size_t> Marks{ExprStack.size(), VarPushes.size()};
+size_t Renamer::enter(BlockId B) {
+  size_t Mark = ExprStack.size();
 
-  auto PushVarDef = [&](VarId V, int Version) {
-    if (V != LVar && V != RVar)
-      return;
-    VarStacks[V].push_back(Version);
-    VarPushes.push_back(V);
-  };
-
-  // 1. Variable phis at the block head update operand versions first.
-  unsigned I = 0;
-  for (; I != BB.Stmts.size() && BB.Stmts[I].Kind == StmtKind::Phi; ++I)
-    PushVarDef(BB.Stmts[I].Dest, BB.Stmts[I].DestVersion);
-
-  // 2. The expression Φ (conceptually after the variable phis).
+  // 1. The expression Φ, conceptually after the variable phis, which set
+  // the operand versions it merges.
   int PhiIdx = G.phiAt(B);
   if (PhiIdx >= 0) {
     PhiOcc &P = G.phis()[PhiIdx];
-    P.LVerAtEntry = curL();
-    P.RVerAtEntry = curR();
+    P.LVerAtEntry = Sites.versionAfterPhis(LVar, B);
+    P.RVerAtEntry = Sites.versionAfterPhis(RVar, B);
     P.Class = newClass(OccRef::phi(PhiIdx));
     ExprStack.push_back(
         StackEntry{P.Class, OccRef::phi(PhiIdx), P.LVerAtEntry,
                    P.RVerAtEntry});
   }
 
-  // 3. Straight-line statements: real occurrences and operand kills.
-  unsigned NextReal = 0;
-  const std::vector<int> &RealsHere = RealAt[B];
-  for (; I != BB.Stmts.size(); ++I) {
-    const Stmt &S = BB.Stmts[I];
-    if (NextReal != RealsHere.size() &&
-        G.reals()[RealsHere[NextReal]].StmtIdx == I) {
-      handleReal(RealsHere[NextReal]);
-      ++NextReal;
-    }
-    if (S.definesValue())
-      PushVarDef(S.Dest, S.DestVersion);
-  }
+  // 2. Real occurrences, in statement order.
+  auto [First, Last] = G.realsIn(B);
+  for (unsigned RI = First; RI != Last; ++RI)
+    handleReal(static_cast<int>(RI));
 
-  // 4. Assign Φ operands in CFG successors for the edges leaving B. The
-  // walk then visits B's dominator-tree children, and run()'s exit
-  // callback restores the stacks to Marks.
+  // 3. Assign Φ operands in CFG successors for the edges leaving B. The
+  // walk then visits B's listed dominator-tree descendants, and run()'s
+  // exit callback pops the expression stack back to Mark.
   fillSuccessorOperands(B);
-  return Marks;
+  return Mark;
 }
 
 } // namespace
 
-void specpre::detail::renameFrg(Frg &G) {
-  Renamer R(G);
+void specpre::detail::renameFrg(Frg &G, const FrgSites &Sites) {
+  Renamer R(G, Sites);
   R.run();
 }

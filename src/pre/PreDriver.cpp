@@ -101,15 +101,25 @@ void gateLospreReducibility(const Cfg &C, const DomTree &DT) {
                         "LOSPRE requires a reducible CFG");
 }
 
+/// True if candidate \p E gets leg A's safe placement under \p S, the
+/// one placement that reads the lexical data flow. Faulting computations
+/// cannot be speculated (paper Section 2), so every leg gives them the
+/// safe placement.
+bool takesSafePlacement(PreStrategy S, const ExprKey &E) {
+  return (S != PreStrategy::McSsaPre && S != PreStrategy::Lospre) ||
+         E.canFault();
+}
+
 /// The strategy switch: runs the placement of Opts.Strategy on \p G, the
 /// FRG of candidate \p EI, and returns the candidate's statistics record
 /// with the FRG and EFG sizes filled in (commitExpression adds the rest).
 /// The legs differ only here: MC-SSAPRE replaces SSAPRE's steps 3-8 by
 /// a min cut (paper Figure 4), and leg D solves the same EFG's cut by
-/// treewidth DP.
+/// treewidth DP. \p LdfColumn is the candidate's column of \p LDF when
+/// it takes the safe placement.
 ExprStatsRecord placeExpression(Frg &G, unsigned EI, const PreOptions &Opts,
                                 const LexicalDataFlow &LDF,
-                                const LoopInfo &LI) {
+                                unsigned LdfColumn, const LoopInfo &LI) {
   const ExprKey &E = G.expr();
   ExprStatsRecord Rec;
   Rec.Expr = E.toString(G.function());
@@ -119,14 +129,10 @@ ExprStatsRecord placeExpression(Frg &G, unsigned EI, const PreOptions &Opts,
   Rec.FrgPhis = static_cast<unsigned>(G.phis().size());
   Rec.FrgReals = static_cast<unsigned>(G.reals().size());
 
-  const bool Speculative = Opts.Strategy == PreStrategy::McSsaPre ||
-                           Opts.Strategy == PreStrategy::Lospre;
-  if (!Speculative || E.canFault()) {
+  if (takesSafePlacement(Opts.Strategy, E)) {
     // Leg A's DownSafety placement, with loop speculation for leg B.
-    // Faulting computations cannot be speculated (paper Section 2), so
-    // every leg gives them the safe placement.
     computeSafePlacement(
-        G, LDF, EI,
+        G, LDF, LdfColumn,
         /*LoopSpeculation=*/Opts.Strategy == PreStrategy::SsaPreSpec &&
             !E.canFault(),
         &LI);
@@ -198,7 +204,9 @@ VarId commitExpression(Function &F, Frg &G, unsigned EI,
 /// Opts.Verify, verify the function once. A motion rewrites only its own
 /// expression's computations and defines a fresh temp, so it can neither
 /// repair nor change what an earlier motion produced: the final function
-/// fails a check exactly when some intermediate one would have.
+/// fails a check exactly when some intermediate one would have. For the
+/// same reason the per-function facts (FrgSites, the lexical data flow)
+/// are computed once, up front.
 void runSsaStrategies(Function &F, const PreOptions &Opts) {
   assert(F.IsSSA && "SSA strategies require SSA form");
   Cfg C(F);
@@ -207,17 +215,29 @@ void runSsaStrategies(Function &F, const PreOptions &Opts) {
   if (Opts.Strategy == PreStrategy::Lospre)
     gateLospreReducibility(C, DT);
 
-  std::vector<ExprKey> Exprs = collectCandidateExprs(F);
-  // Lexical block-level data flow is unaffected by the per-expression
-  // rewrites (reloads keep the destination, temps are fresh variables),
-  // so it is computed once up front for all candidates.
-  LexicalDataFlow LDF = solveLexicalDataFlow(F, C, Exprs);
+  FrgSites Sites(F, C, DT);
+  const std::vector<ExprKey> &Exprs = Sites.candidates();
+  // Each candidate's column of the lexical data flow depends on that
+  // candidate alone, so it is solved only for those that read it.
+  std::vector<ExprKey> SafeExprs;
+  for (const ExprKey &E : Exprs)
+    if (takesSafePlacement(Opts.Strategy, E))
+      SafeExprs.push_back(E);
+  LexicalDataFlow LDF;
+  if (!SafeExprs.empty())
+    LDF = solveLexicalDataFlow(F, C, SafeExprs);
+  unsigned NextLdfColumn = 0;
+  BudgetTracker *Budget = currentBudget();
   std::vector<std::pair<ExprKey, VarId>> Temps;
   for (unsigned EI = 0; EI != Exprs.size(); ++EI) {
-    Frg G(F, C, DT, Exprs[EI]);
+    if (Budget)
+      throwIfError(Budget->checkDeadline("SSA PRE candidate"));
+    unsigned LdfColumn = NextLdfColumn;
+    NextLdfColumn += takesSafePlacement(Opts.Strategy, Exprs[EI]);
+    Frg G(F, Sites, EI);
     if (G.reals().empty())
       continue;
-    ExprStatsRecord Rec = placeExpression(G, EI, Opts, LDF, LI);
+    ExprStatsRecord Rec = placeExpression(G, EI, Opts, LDF, LdfColumn, LI);
     CrashContext ExprFrame("expression", Rec.Expr);
     VarId Temp = commitExpression(F, G, EI, Opts, Rec);
     if (Temp != InvalidVar)

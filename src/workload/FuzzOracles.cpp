@@ -486,10 +486,12 @@ specpre::checkEfgCutOracles(const Function &F, const Profile &Prof,
     constructSsa(Ssa);
   Cfg C(Ssa);
   DomTree DT = DomTree::buildDominators(C);
-  for (const ExprKey &E : collectCandidateExprs(Ssa)) {
+  FrgSites Sites(Ssa, C, DT);
+  for (unsigned EI = 0; EI != Sites.candidates().size(); ++EI) {
+    const ExprKey &E = Sites.candidates()[EI];
     if (E.canFault())
       continue;
-    Frg G(Ssa, C, DT, E);
+    Frg G(Ssa, Sites, EI);
     if (G.reals().empty())
       continue;
     EfgStats ES = computeSpeculativePlacement(G, Prof);
@@ -514,7 +516,7 @@ specpre::checkEfgCutOracles(const Function &F, const Profile &Prof,
     // fresh build of the identical EFG must yield a structurally valid
     // cut of exactly the max-flow capacity — or refuse with the
     // documented ResourceLimit. Any other status is an oracle failure.
-    Frg G2(Ssa, C, DT, E);
+    Frg G2(Ssa, Sites, EI);
     EfgBuild B = buildEfgNetwork(G2, Prof);
     if (!B.Empty) {
       Expected<MinCutResult> Tw =

@@ -12,8 +12,10 @@
 #include "analysis/Loops.h"
 #include "interp/Interpreter.h"
 #include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "workload/ProgramGenerator.h"
+#include "workload/SpecSuite.h"
 
 #include <gtest/gtest.h>
 
@@ -390,6 +392,59 @@ TEST(LoopRestructure, PreservesSemantics) {
       ASSERT_EQ(A.DynamicComputations, B.DynamicComputations);
     }
   }
+}
+
+namespace {
+
+uint64_t fnv1a(const std::string &S) {
+  uint64_t H = 14695981039346656037ull;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+/// FNV-1a over printFunction of each function after prepareFunction,
+/// each text ended by a NUL.
+struct PreparedHash {
+  std::string All;
+  void add(Function F) {
+    prepareFunction(F);
+    All += printFunction(F);
+    All += '\0';
+  }
+};
+
+} // namespace
+
+// Pins: every expected number below was produced by the restructuring
+// that rebuilt the CFG, dominator tree and loops after each guard, so
+// these cases hold an incremental update to the same guards, ids and
+// labels.
+TEST(PrepareFunction, PinnedOnSpecSuite) {
+  PreparedHash H;
+  unsigned Functions = 0;
+  for (const BenchmarkSpec &S : fullCpu2006Suite()) {
+    H.add(S.buildProgram());
+    ++Functions;
+  }
+  EXPECT_EQ(Functions, 29u);
+  EXPECT_EQ(fnv1a(H.All), 3926592730916652446ull);
+}
+
+TEST(PrepareFunction, PinnedOnGeneratedPrograms) {
+  PreparedHash H;
+  for (uint64_t Seed = 1; Seed <= 400; ++Seed) {
+    GeneratorConfig Config;
+    Config.MaxDepth = 2 + Seed % 3;
+    Config.WhileChance = Seed % 2 ? 250 : 450;
+    Config.DoWhileChance = Seed % 4 == 0 ? 250 : 100;
+    if (Seed % 5 == 0)
+      Config.MaxWidth = 3;
+    H.add(generateProgram(Seed, Config));
+  }
+  EXPECT_EQ(fnv1a(H.All), 10849402374762541954ull);
 }
 
 TEST(DataFlow, ReachingLikeUnionProblem) {

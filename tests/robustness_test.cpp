@@ -235,6 +235,30 @@ TEST_F(RobustnessTest, BudgetDeadlineTrips) {
   EXPECT_TRUE(T.checkDeadline("unit test").isOk());
 }
 
+TEST_F(RobustnessTest, BudgetDeadlineStopsTheCandidateLoop) {
+  // Leg A has no cut step, so only the per-candidate deadline check can
+  // stop it: a 3,000-block chain with two candidates per block takes far
+  // longer than 1 ms, and the ladder lands on the identity rung.
+  std::string Text = "func chain(a, n) {\nentry:\n  v = n\n  jmp b0\n";
+  for (unsigned K = 0; K != 3000; ++K)
+    Text += "b" + std::to_string(K) + ":\n  v = v + a * " +
+            std::to_string(K) + "\n  jmp " +
+            (K + 1 == 3000 ? "done" : "b" + std::to_string(K + 1)) + "\n";
+  Text += "done:\n  ret v\n}\n";
+  Function Prepared = parseFunctionOrDie(Text);
+  prepareFunction(Prepared);
+  PreOptions PO;
+  PO.Strategy = PreStrategy::SsaPre;
+  PO.Budget.DeadlineMillis = 1;
+  CompileOutcomeRecord O;
+  Result = compileWithFallback(Prepared, PO, &O);
+  EXPECT_EQ(O.Used, "none");
+  EXPECT_EQ(O.Cause, "budget-exhausted");
+  EXPECT_NE(O.Message.find("SSA PRE candidate"), std::string::npos)
+      << O.Message;
+  EXPECT_TRUE(printFunction(Result) == printFunction(Prepared));
+}
+
 TEST_F(RobustnessTest, BudgetAugmentationCapTrips) {
   CompileBudget B;
   B.MaxFlowAugmentations = 2;

@@ -311,6 +311,64 @@ TEST(Stress, VerifierIsLinearInBlocks) {
                           << Seconds << " s";
 }
 
+namespace {
+
+/// A straight chain of \p Blocks blocks, block K computing
+/// `v = v + a * K`: two candidates per block, each occurring once.
+std::string chainOfCandidates(unsigned Blocks) {
+  std::string Text = "func chain(a, n) {\nentry:\n  v = n\n  jmp b0\n";
+  for (unsigned K = 0; K != Blocks; ++K) {
+    std::string Next = K + 1 == Blocks ? "done" : "b" + std::to_string(K + 1);
+    Text += "b" + std::to_string(K) + ":\n  v = v + a * " + std::to_string(K) +
+            "\n  jmp " + Next + "\n";
+  }
+  return Text + "done:\n  ret v\n}\n";
+}
+
+/// Milliseconds that Φ-insertion, rename and finalize take compiling
+/// \p Prepared under \p Strategy.
+double frgStepMillis(const Function &Prepared, PreStrategy Strategy,
+                     const Profile *Prof) {
+  PipelineMetrics M;
+  {
+    MetricsScope Scope(&M);
+    PreOptions PO;
+    PO.Strategy = Strategy;
+    PO.Prof = Prof;
+    compileWithPre(Prepared, PO);
+  }
+  uint64_t Nanos = M.step(PipelineStep::PhiInsertion).Nanos +
+                   M.step(PipelineStep::Rename).Nanos +
+                   M.step(PipelineStep::Finalize).Nanos;
+  return static_cast<double>(Nanos) / 1e6;
+}
+
+} // namespace
+
+TEST(Stress, FrgStepsFollowEachCandidatesFootprint) {
+  // Each candidate of a straight chain occurs in one block and has no Φ,
+  // so the three FRG steps cost about the same per candidate at any
+  // length. Steps that visit every block per candidate are quadratic:
+  // tens of seconds on these chains in an optimized build.
+  const std::vector<int64_t> Args = {3, 4};
+  {
+    Function Prepared = parseFunctionOrDie(chainOfCandidates(8000));
+    prepareFunction(Prepared);
+    Profile Prof;
+    ExecOptions EO;
+    EO.CollectProfile = &Prof;
+    interpret(Prepared, Args, EO);
+    double Millis = frgStepMillis(Prepared, PreStrategy::McSsaPre, &Prof);
+    EXPECT_LT(Millis, 2000.0) << "MC-SSAPRE, 8,000 blocks";
+  }
+  {
+    Function Prepared = parseFunctionOrDie(chainOfCandidates(6000));
+    prepareFunction(Prepared);
+    double Millis = frgStepMillis(Prepared, PreStrategy::SsaPre, nullptr);
+    EXPECT_LT(Millis, 2000.0) << "SSAPRE, 6,000 blocks";
+  }
+}
+
 TEST(Stress, DominatorTreeWalksNeedNoStackPerLevel) {
   // A straight chain of 5,000 blocks has a dominator tree 5,000 levels
   // deep. On a 256 KiB stack, a walk that recursed once per level (SSA

@@ -399,9 +399,10 @@ int runLocalSideChannels(const ToolOptions &Opts, const Function &F,
     DomTree DT = DomTree::buildDominators(C);
     std::ofstream Out(Opts.DotFrgPath, std::ios::app);
     Profile NodeProf = Prof.withoutEdgeFreqs();
-    for (const ExprKey &E : collectCandidateExprs(Copy)) {
-      Frg G(Copy, C, DT, E);
-      if (NeedsProfile && !E.canFault())
+    FrgSites Sites(Copy, C, DT);
+    for (unsigned EI = 0; EI != Sites.candidates().size(); ++EI) {
+      Frg G(Copy, Sites, EI);
+      if (NeedsProfile && !G.expr().canFault())
         computeSpeculativePlacement(G, NodeProf, Opts.Placement, Opts.Algo,
                                     Opts.Objective);
       Out << frgToDot(G, NeedsProfile ? &NodeProf : nullptr);
