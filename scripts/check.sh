@@ -41,7 +41,8 @@ echo "==== fault-injection smoke ===="
 
 # Compilation-cache smoke (docs/CACHING.md): cold populate, warm replay,
 # then verify mode, which recompiles every hit and exits nonzero on any
-# bit difference. All three stdouts must be identical.
+# bit difference. All three stdouts must be identical, and the warm run
+# neither recompiles nor retrains.
 echo "==== cache verify smoke ===="
 CACHE_DIR="$(mktemp -d)"
 trap 'rm -rf "$CACHE_DIR"' EXIT
@@ -49,11 +50,14 @@ for f in examples/programs/*.spre; do
   ./build-release/tools/specpre-opt --strategy=mcssapre --train=3,4,64 \
     --cache-dir="$CACHE_DIR" "$f" > "$CACHE_DIR/cold.out"
   ./build-release/tools/specpre-opt --strategy=mcssapre --train=3,4,64 \
-    --cache-dir="$CACHE_DIR" "$f" > "$CACHE_DIR/warm.out"
+    --cache-dir="$CACHE_DIR" "$f" > "$CACHE_DIR/warm.out" \
+    2> "$CACHE_DIR/warm.err"
   ./build-release/tools/specpre-opt --strategy=mcssapre --train=3,4,64 \
     --cache-dir="$CACHE_DIR" --cache=verify "$f" > "$CACHE_DIR/verify.out"
   cmp "$CACHE_DIR/cold.out" "$CACHE_DIR/warm.out"
   cmp "$CACHE_DIR/cold.out" "$CACHE_DIR/verify.out"
+  grep -q ' misses=0 ' "$CACHE_DIR/warm.err"
+  grep -q 'train_misses=0' "$CACHE_DIR/warm.err"
 done
 
 # Serve smoke (docs/SERVING.md): start the daemon (Release and ASan),

@@ -21,6 +21,18 @@
 // drives both the encoder and the decoder, so a field cannot be written
 // and forgotten on the way back. Integers are decimal, bools "0"/"1".
 //
+// A training entry (keyed under its own tag, trainingCacheKey):
+//
+//   specpre-train v1
+//   result <return value> <computations> <cycles>
+//   edges <0|1>
+//   profile <bytes>
+//   <serializeProfile text, exactly <bytes> bytes>
+//
+// The edges line carries Profile::HasEdgeFreqs, which parseProfile
+// would otherwise infer from the presence of an edge line: a one-block
+// function trains to HasEdgeFreqs with no edges.
+//
 //===----------------------------------------------------------------------===//
 
 #include "pre/CachedCompile.h"
@@ -28,10 +40,12 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/StructuralHash.h"
+#include "profile/Profile.h"
 #include "support/FaultInjector.h"
 #include "support/LineCodec.h"
 #include "support/PassTimer.h"
 
+#include <cassert>
 #include <variant>
 
 using namespace specpre;
@@ -111,6 +125,39 @@ bool parseLine(const std::vector<std::string> &T, const char *Tag,
   return true;
 }
 
+std::string encodePayload(bool IsSsa, const std::string &Ir,
+                          const std::vector<ExprStatsRecord> &Records,
+                          const CompileOutcomeRecord &Outcome) {
+  std::string Out = "specpre-cache v2\n";
+  Out += IsSsa ? "ssa 1\n" : "ssa 0\n";
+
+  appendLine(Out, "outcome", OutcomeFields, Outcome);
+  Out += "records " + std::to_string(Records.size()) + "\n";
+  for (const ExprStatsRecord &R : Records)
+    appendLine(Out, "record", ExprStatsFields, R);
+
+  Out += "ir " + std::to_string(Ir.size()) + "\n";
+  Out += Ir;
+  return Out;
+}
+
+/// The one admission rule of both protocols: \p Cache when a lookup is
+/// allowed, else null. Pipeline fault injection makes outcomes a
+/// function of a process-global fault counter, not of the inputs, so it
+/// bypasses the cache entirely (and is counted). The network/process/
+/// disk sites only perturb transport and storage — outcomes stay
+/// input-pure under them, and the disk sites in particular *need* cache
+/// traffic to fire at all.
+CompileCache *admittedCache(CompileCache *Cache) {
+  if (!Cache || Cache->mode() == CacheMode::Off)
+    return nullptr;
+  if (pipelineFaultInjectionEnabled()) {
+    Cache->noteBypass(CacheBypass::FaultInjection);
+    return nullptr;
+  }
+  return Cache;
+}
+
 } // namespace
 
 CacheKey specpre::compileCacheKey(const Function &Prepared,
@@ -135,15 +182,9 @@ CacheKey specpre::compileCacheKey(const Function &Prepared,
   if (Opts.Strategy == PreStrategy::Lospre)
     H.addU64(Opts.LospreMaxWidth);
 
-  H.addBool(Opts.EquivalenceInputs != nullptr);
-  if (Opts.EquivalenceInputs) {
-    H.addU64(Opts.EquivalenceInputs->size());
-    for (const std::vector<int64_t> &Args : *Opts.EquivalenceInputs) {
-      H.addU64(Args.size());
-      for (int64_t A : Args)
-        H.addI64(A);
-    }
-  }
+  // The slot of the retired interpreter-equivalence gate, which was never
+  // set: hashing its "unset" keeps every key, and every entry on disk.
+  H.addBool(false);
 
   // Only the profile slice the strategy actually consumes enters the
   // key: node frequencies for MC-SSAPRE and LOSPRE, node+edge for MC-PRE (it
@@ -179,24 +220,12 @@ std::string
 specpre::encodeCachePayload(const Function &Optimized,
                             const std::vector<ExprStatsRecord> &Records,
                             const CompileOutcomeRecord &Outcome) {
-  std::string Out = "specpre-cache v2\n";
-  Out += Optimized.IsSSA ? "ssa 1\n" : "ssa 0\n";
-
-  appendLine(Out, "outcome", OutcomeFields, Outcome);
-  Out += "records " + std::to_string(Records.size()) + "\n";
-  for (const ExprStatsRecord &R : Records)
-    appendLine(Out, "record", ExprStatsFields, R);
-
-  std::string Ir = printFunction(Optimized);
-  Out += "ir " + std::to_string(Ir.size()) + "\n";
-  Out += Ir;
-  return Out;
+  return encodePayload(Optimized.IsSSA, printFunction(Optimized), Records,
+                       Outcome);
 }
 
 bool specpre::decodeCachePayload(const std::string &Payload,
-                                 Function &OptimizedOut,
-                                 std::vector<ExprStatsRecord> &RecordsOut,
-                                 CompileOutcomeRecord &OutcomeOut) {
+                                 DecodedPayload &Out) {
   size_t Pos = 0;
   std::string Line;
   if (!nextLine(Payload, Pos, Line) || Line != "specpre-cache v2")
@@ -205,15 +234,11 @@ bool specpre::decodeCachePayload(const std::string &Payload,
   if (!nextLine(Payload, Pos, Line))
     return false;
   std::vector<std::string> T = splitTokens(Line);
-  bool IsSsa;
-  if (T.size() != 2 || T[0] != "ssa" || !parseBool(T[1], IsSsa))
+  if (T.size() != 2 || T[0] != "ssa" || !parseBool(T[1], Out.IsSsa))
     return false;
 
-  if (!nextLine(Payload, Pos, Line))
-    return false;
-  T = splitTokens(Line);
-  CompileOutcomeRecord Outcome;
-  if (!parseLine(T, "outcome", OutcomeFields, Outcome))
+  if (!nextLine(Payload, Pos, Line) ||
+      !parseLine(splitTokens(Line), "outcome", OutcomeFields, Out.Outcome))
     return false;
 
   if (!nextLine(Payload, Pos, Line))
@@ -223,15 +248,13 @@ bool specpre::decodeCachePayload(const std::string &Payload,
   if (T.size() != 2 || T[0] != "records" || !parseU64(T[1], NumRecords) ||
       NumRecords > (1u << 20))
     return false;
-  std::vector<ExprStatsRecord> Records;
-  Records.reserve(NumRecords);
+  Out.Records.clear();
+  Out.Records.reserve(NumRecords);
   for (uint64_t I = 0; I != NumRecords; ++I) {
-    if (!nextLine(Payload, Pos, Line))
+    if (!nextLine(Payload, Pos, Line) ||
+        !parseLine(splitTokens(Line), "record", ExprStatsFields,
+                   Out.Records.emplace_back()))
       return false;
-    ExprStatsRecord R;
-    if (!parseLine(splitTokens(Line), "record", ExprStatsFields, R))
-      return false;
-    Records.push_back(std::move(R));
   }
 
   if (!nextLine(Payload, Pos, Line))
@@ -241,35 +264,47 @@ bool specpre::decodeCachePayload(const std::string &Payload,
   if (T.size() != 2 || T[0] != "ir" || !parseU64(T[1], IrBytes) ||
       Payload.size() - Pos != IrBytes)
     return false;
+  Out.Ir.assign(Payload, Pos);
+  return true;
+}
 
+bool specpre::parseCachedIr(const DecodedPayload &P, Function &Out) {
   std::string Error;
-  std::optional<Module> M = parseModule(Payload.substr(Pos), Error);
+  std::optional<Module> M = parseModule(P.Ir, Error);
   if (!M || M->Functions.size() != 1)
     return false;
-
-  OptimizedOut = std::move(M->Functions.front());
+  Out = std::move(M->Functions.front());
   // An SSA function whose live variables all print without version
   // suffixes (e.g. the identity rung's output, or params-only bodies)
   // parses back as non-SSA; the payload carries the flag explicitly.
-  OptimizedOut.IsSSA = IsSsa;
-  RecordsOut = std::move(Records);
-  OutcomeOut = std::move(Outcome);
+  Out.IsSSA = P.IsSsa;
+  return true;
+}
+
+bool specpre::decodeCachePayload(const std::string &Payload,
+                                 Function &OptimizedOut,
+                                 std::vector<ExprStatsRecord> &RecordsOut,
+                                 CompileOutcomeRecord &OutcomeOut) {
+  DecodedPayload P;
+  if (!decodeCachePayload(Payload, P) || !parseCachedIr(P, OptimizedOut))
+    return false;
+  RecordsOut = std::move(P.Records);
+  OutcomeOut = std::move(P.Outcome);
   return true;
 }
 
 Function specpre::compileThroughCache(const Function &Prepared,
                                       const PreOptions &Opts,
                                       CompileOutcomeRecord *OutcomeOut,
-                                      const UncachedCompileFn &Compile) {
-  CompileCache *Cache = Opts.Cache;
-  // Pipeline fault injection makes outcomes a function of a
-  // process-global fault counter, not of the compile's inputs: bypass
-  // the cache entirely. The network/process/disk sites only perturb
-  // transport and storage — outcomes stay input-pure under them, and
-  // the disk sites in particular *need* cache traffic to fire at all.
-  if (!Cache || Cache->mode() == CacheMode::Off ||
-      pipelineFaultInjectionEnabled())
-    return Compile(Prepared, Opts, OutcomeOut);
+                                      const UncachedCompileFn &Compile,
+                                      std::string *TextOut) {
+  CompileCache *Cache = admittedCache(Opts.Cache);
+  if (!Cache) {
+    Function F = Compile(Prepared, Opts, OutcomeOut);
+    if (TextOut)
+      *TextOut = printFunction(F);
+    return F;
+  }
 
   const CacheKey Key = compileCacheKey(Prepared, Opts);
 
@@ -291,34 +326,42 @@ Function specpre::compileThroughCache(const Function &Prepared,
   };
 
   if (std::optional<std::string> Hit = Cache->lookup(Key)) {
+    DecodedPayload P;
     Function Decoded;
-    std::vector<ExprStatsRecord> Records;
-    CompileOutcomeRecord Outcome;
-    if (decodeCachePayload(*Hit, Decoded, Records, Outcome)) {
+    // Verify mode compares the stored text and a text-only caller emits
+    // it; only a caller that needs the Function parses it.
+    if (decodeCachePayload(*Hit, P) &&
+        (Cache->mode() == CacheMode::Verify || TextOut ||
+         parseCachedIr(P, Decoded))) {
       if (Cache->mode() == CacheMode::Verify) {
         CompileOutcomeRecord FreshOutcome;
         Function Fresh = Compile(Prepared, RunOpts, &FreshOutcome);
-        const bool Same = printFunction(Fresh) == printFunction(Decoded) &&
-                          Shard.records() == Records &&
-                          FreshOutcome == Outcome;
+        std::string FreshIr = printFunction(Fresh);
+        const bool Same = FreshIr == P.Ir && Fresh.IsSSA == P.IsSsa &&
+                          Shard.records() == P.Records &&
+                          FreshOutcome == P.Outcome;
         if (!Same)
           Cache->noteVerifyMismatch();
         ForwardShard();
         if (OutcomeOut)
           *OutcomeOut = FreshOutcome;
+        if (TextOut)
+          *TextOut = std::move(FreshIr);
         return Fresh;
       }
       if (Opts.Stats) {
-        for (const ExprStatsRecord &R : Records)
+        for (const ExprStatsRecord &R : P.Records)
           Opts.Stats->addRecord(R);
-        Opts.Stats->addOutcome(Outcome);
+        Opts.Stats->addOutcome(P.Outcome);
       }
       if (OutcomeOut)
-        *OutcomeOut = Outcome;
+        *OutcomeOut = P.Outcome;
       // A replayed hit is a compiled function the ladder never saw; only
       // clean compiles are stored, so no other robustness counter moves.
       if (PipelineMetrics *M = currentMetricsSink())
         ++M->robustness().FunctionsCompiled;
+      if (TextOut)
+        *TextOut = std::move(P.Ir);
       return Decoded;
     }
     // Torn or stale-format entry: fall through as a miss; the store
@@ -330,9 +373,131 @@ Function specpre::compileThroughCache(const Function &Prepared,
   ForwardShard();
   if (OutcomeOut)
     *OutcomeOut = Outcome;
+  std::string Ir = printFunction(F);
   // A degraded result's shape depends on *which rung failed*, which the
   // key does not (and should not) capture: never cache it.
-  if (!Outcome.degraded())
-    Cache->insert(Key, encodeCachePayload(F, Shard.records(), Outcome));
+  if (Outcome.degraded())
+    Cache->noteBypass(CacheBypass::Degraded);
+  else
+    Cache->insert(Key, encodePayload(F.IsSSA, Ir, Shard.records(), Outcome));
+  if (TextOut)
+    *TextOut = std::move(Ir);
   return F;
+}
+
+CacheKey specpre::trainingCacheKey(const Function &Prepared,
+                                   const std::vector<int64_t> &Args,
+                                   const ExecOptions &EO) {
+  HashBuilder H;
+  // Format tag of the training entries; bump it with their payload
+  // format or with the interpreter's accounting (docs/IR.md).
+  H.addString("specpre-train-key-v1");
+  hashFunctionInto(H, Prepared);
+  H.addU64(Args.size());
+  for (int64_t A : Args)
+    H.addI64(A);
+  H.addU64(EO.MaxSteps);
+  const CostModel &C = EO.Costs;
+  for (uint64_t Cost : C.OpCost)
+    H.addU64(Cost);
+  for (uint64_t Cost : {C.CopyCost, C.PhiCost, C.BranchCost, C.JumpCost,
+                        C.RetCost, C.PrintCost})
+    H.addU64(Cost);
+  Hash128 D = H.digest();
+  return CacheKey{D.Hi, D.Lo};
+}
+
+std::string specpre::encodeTrainingPayload(const ExecResult &R,
+                                           const Profile &Prof) {
+  const std::string Text = serializeProfile(Prof);
+  std::string Out = "specpre-train v1\nresult ";
+  Out += std::to_string(R.ReturnValue) + " " +
+         std::to_string(R.DynamicComputations) + " " +
+         std::to_string(R.Cycles) + "\n";
+  Out += Prof.HasEdgeFreqs ? "edges 1\n" : "edges 0\n";
+  Out += "profile " + std::to_string(Text.size()) + "\n";
+  Out += Text;
+  return Out;
+}
+
+bool specpre::decodeTrainingPayload(const std::string &Payload,
+                                    unsigned NumBlocks, ExecResult &ROut,
+                                    Profile &ProfOut) {
+  size_t Pos = 0;
+  std::string Line;
+  if (!nextLine(Payload, Pos, Line) || Line != "specpre-train v1")
+    return false;
+
+  ExecResult R;
+  if (!nextLine(Payload, Pos, Line))
+    return false;
+  std::vector<std::string> T = splitTokens(Line);
+  if (T.size() != 4 || T[0] != "result" || !parseI64(T[1], R.ReturnValue) ||
+      !parseU64(T[2], R.DynamicComputations) || !parseU64(T[3], R.Cycles))
+    return false;
+
+  bool Edges;
+  if (!nextLine(Payload, Pos, Line))
+    return false;
+  T = splitTokens(Line);
+  if (T.size() != 2 || T[0] != "edges" || !parseBool(T[1], Edges))
+    return false;
+
+  uint64_t Bytes;
+  if (!nextLine(Payload, Pos, Line))
+    return false;
+  T = splitTokens(Line);
+  if (T.size() != 2 || T[0] != "profile" || !parseU64(T[1], Bytes) ||
+      Payload.size() - Pos != Bytes)
+    return false;
+
+  const std::string Text = Payload.substr(Pos);
+  Profile Prof;
+  std::string Error;
+  if (!parseProfile(Text, Prof, Error) || Prof.BlockFreq.size() != NumBlocks)
+    return false;
+  Prof.HasEdgeFreqs = Edges;
+  // Only what encodeTrainingPayload writes decodes: the same text, so
+  // also no edge lines under "edges 0".
+  if (serializeProfile(Prof) != Text)
+    return false;
+  ROut = R;
+  ProfOut = std::move(Prof);
+  return true;
+}
+
+ExecResult specpre::trainThroughCache(const Function &Prepared,
+                                      const std::vector<int64_t> &Args,
+                                      const ExecOptions &EO,
+                                      CompileCache *Cache) {
+  assert(EO.CollectProfile && "training collects a profile");
+  Cache = admittedCache(Cache);
+  if (!Cache)
+    return interpret(Prepared, Args, EO);
+
+  const CacheKey Key = trainingCacheKey(Prepared, Args, EO);
+  std::optional<std::string> Hit =
+      Cache->lookup(Key, CacheEntryKind::Training);
+  ExecResult Memo;
+  Profile MemoProf;
+  const bool Decoded =
+      Hit && decodeTrainingPayload(*Hit, Prepared.numBlocks(), Memo, MemoProf);
+  if (Decoded && Cache->mode() == CacheMode::On) {
+    *EO.CollectProfile = std::move(MemoProf);
+    return Memo;
+  }
+
+  ExecResult R = interpret(Prepared, Args, EO);
+  const bool Clean = !R.Trapped && !R.TimedOut;
+  if (Decoded) {
+    // Verify mode: audit the entry against the fresh run, keep it.
+    if (!Clean || encodeTrainingPayload(R, *EO.CollectProfile) != *Hit)
+      Cache->noteVerifyMismatch();
+  } else if (Clean) {
+    // A miss, or a torn entry this store overwrites. A trapped or
+    // timed-out run fails its request, so there is nothing to replay.
+    Cache->insert(Key, encodeTrainingPayload(R, *EO.CollectProfile),
+                  CacheEntryKind::Training);
+  }
+  return R;
 }

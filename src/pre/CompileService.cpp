@@ -7,6 +7,7 @@
 #include "ir/Printer.h"
 #include "opt/Cleanup.h"
 #include "opt/ValueNumbering.h"
+#include "pre/CachedCompile.h"
 #include "profile/Profile.h"
 #include "ssa/SsaDestruction.h"
 #include "support/FaultInjector.h"
@@ -296,11 +297,13 @@ struct FunctionPart {
 
 /// One function of the request: the per-function body of every compile,
 /// local or served. Writes only \p F and \p Part (and the thread-safe
-/// cache), so a module's functions may run concurrently. Returns the
-/// exit code.
+/// cache), so a module's functions may run concurrently. With
+/// \p TextOnly (the request emits and nothing reads Part.Optimized), a
+/// cache hit's stored text is emitted as is and Part.Optimized may stay
+/// empty. Returns the exit code.
 int processServeFunction(Function &F, const ServeRequest &R,
                          CompileCache *Cache, PipelineMetrics *Metrics,
-                         FunctionPart &Part) {
+                         bool TextOnly, FunctionPart &Part) {
   ServeResponse &Resp = Part.Resp;
   Profile &Prof = Part.Prof;
   prepareFunction(F);
@@ -331,7 +334,7 @@ int processServeFunction(Function &F, const ServeRequest &R,
     }
     ExecOptions EO;
     EO.CollectProfile = &Prof;
-    ExecResult Train = interpret(F, *R.TrainArgs, EO);
+    ExecResult Train = trainThroughCache(F, *R.TrainArgs, EO, Cache);
     Resp.appendRunReport("train", Train);
     if (Train.Trapped || Train.TimedOut) {
       Resp.StderrText += "error: training run failed\n";
@@ -353,9 +356,11 @@ int processServeFunction(Function &F, const ServeRequest &R,
 
   CompileOutcomeRecord Outcome;
   Function &Optimized = Part.Optimized;
+  std::string Text;
   {
     MetricsScope Scope(Metrics);
-    Optimized = compileWithFallback(F, PO, &Outcome);
+    Optimized =
+        compileWithFallback(F, PO, &Outcome, TextOnly ? &Text : nullptr);
   }
   if (Outcome.degraded())
     Resp.Degraded = true;
@@ -379,7 +384,7 @@ int processServeFunction(Function &F, const ServeRequest &R,
     destructSsa(Optimized);
 
   if (R.Emit)
-    Resp.StdoutText += printFunction(Optimized);
+    Resp.StdoutText += TextOnly ? Text : printFunction(Optimized);
   return 0;
 }
 
@@ -411,13 +416,18 @@ ServeResponse specpre::processServeRequest(const ServeRequest &R,
     return Resp;
   }
 
+  // Only the emitted text is needed when no post-pass and no hook reads
+  // the optimized Function.
+  const bool TextOnly =
+      R.Emit && !R.Gvn && !R.Cleanup && !R.OutOfSsa && !Hook;
   std::vector<FunctionPart> Parts(Selected.size());
   Driver.fanOut(
       Selected.size(),
       [&](size_t I) {
         FunctionPart &P = Parts[I];
-        P.Resp.ExitCode = processServeFunction(
-            *Selected[I], R, Cache, Metrics ? &P.Metrics : nullptr, P);
+        P.Resp.ExitCode =
+            processServeFunction(*Selected[I], R, Cache,
+                                 Metrics ? &P.Metrics : nullptr, TextOnly, P);
       },
       [&](size_t I) {
         FunctionPart P = std::move(Parts[I]); // released by this commit

@@ -147,10 +147,13 @@ using ServeFunctionHook = std::function<int(
     const PreStats &Stats, ServeResponse &Resp)>;
 
 /// Runs \p R against the given driver/cache: parse, then per function
-/// prepare, train (or load the profile), compile through the ladder,
-/// report the outcome, run the GVN/cleanup/out-of-SSA post-passes and
-/// emit. This is both the daemon's request body and a local specpre-opt
-/// run, which adds its side channels through \p Hook. The functions run
+/// prepare, train through the cache's training memo (or load the
+/// profile), compile through the ladder, report the outcome, run the
+/// GVN/cleanup/out-of-SSA post-passes and emit. When no post-pass runs
+/// and there is no \p Hook, a cache hit emits its stored IR text without
+/// parsing or printing it (docs/CACHING.md). This is both the daemon's
+/// request body and a local specpre-opt run, which adds its side
+/// channels through \p Hook. The functions run
 /// on \p Driver's pool; their output, metrics and hook calls are
 /// committed in function order, and the first nonzero exit code ends the
 /// request, so the response is the same at any job count.

@@ -21,7 +21,6 @@
 #include "pre/McSsaPre.h"
 #include "pre/SsaPre.h"
 #include "support/PassTimer.h"
-#include "interp/Interpreter.h"
 #include "ssa/SsaConstruction.h"
 #include "support/CrashContext.h"
 #include "support/Diagnostics.h"
@@ -317,24 +316,6 @@ std::vector<PreStrategy> specpre::degradationLadder(PreStrategy Requested) {
   SPECPRE_UNREACHABLE("bad strategy");
 }
 
-Status specpre::checkObservableEquivalence(const Function &Prepared,
-                                           const Function &Optimized,
-                                           const PreOptions &Opts) {
-  if (!Opts.EquivalenceInputs)
-    return Status::ok();
-  for (const std::vector<int64_t> &Raw : *Opts.EquivalenceInputs) {
-    std::vector<int64_t> Args = Raw;
-    Args.resize(Prepared.Params.size(), 0);
-    ExecResult Before = interpret(Prepared, Args);
-    ExecResult After = interpret(Optimized, Args);
-    if (!Before.sameObservableBehavior(After))
-      return Status::error(ErrorCode::VerifyFailed,
-                           "interpreter equivalence violated: " +
-                               Before.describe() + " vs " + After.describe());
-  }
-  return Status::ok();
-}
-
 namespace {
 
 /// The degradation-ladder walk itself, cache-oblivious; the public
@@ -384,14 +365,11 @@ Function walkLadder(const Function &Prepared, const PreOptions &Opts,
       Tracker.reset();
       BudgetScope Scope(Budgeted ? &Tracker : nullptr);
       Function F = compileWithPre(Prepared, RungOpts);
-      Failure = checkObservableEquivalence(Prepared, F, Opts);
-      if (Failure.isOk()) {
-        Outcome.Used = strategyName(Rung);
-        if (Opts.Stats)
-          for (const ExprStatsRecord &R : RungStats.records())
-            Opts.Stats->addRecord(R);
-        return Finish(std::move(F));
-      }
+      Outcome.Used = strategyName(Rung);
+      if (Opts.Stats)
+        for (const ExprStatsRecord &R : RungStats.records())
+          Opts.Stats->addRecord(R);
+      return Finish(std::move(F));
     } catch (const StatusException &E) {
       Failure = E.status();
     } catch (const std::exception &E) {
@@ -418,6 +396,7 @@ Function walkLadder(const Function &Prepared, const PreOptions &Opts,
 
 Function specpre::compileWithFallback(const Function &Prepared,
                                       const PreOptions &Opts,
-                                      CompileOutcomeRecord *OutcomeOut) {
-  return compileThroughCache(Prepared, Opts, OutcomeOut, walkLadder);
+                                      CompileOutcomeRecord *OutcomeOut,
+                                      std::string *TextOut) {
+  return compileThroughCache(Prepared, Opts, OutcomeOut, walkLadder, TextOut);
 }

@@ -88,11 +88,6 @@ struct PreOptions {
   /// Exhaustion surfaces as StatusException(BudgetExhausted), which the
   /// degradation ladder turns into a retry on a cheaper strategy.
   CompileBudget Budget;
-  /// When non-null, compileWithFallback additionally checks interpreter
-  /// equivalence of the transformed function against the prepared input
-  /// on each argument vector before accepting a rung's result. Argument
-  /// vectors are padded/truncated to the function's arity.
-  const std::vector<std::vector<int64_t>> *EquivalenceInputs = nullptr;
   /// Leg D's treewidth budget: computeLosprePlacement refuses, with a
   /// recoverable ResourceLimit, any EFG whose tree decomposition comes
   /// out wider than this (the DP is O(2^w · N), so the bound caps both
@@ -130,22 +125,17 @@ Function compileWithPre(const Function &Prepared, const PreOptions &Opts);
 ///   SSAPRE    -> none                  LCM    -> none
 std::vector<PreStrategy> degradationLadder(PreStrategy Requested);
 
-/// Interpreter equivalence of \p Optimized against \p Prepared on
-/// Opts.EquivalenceInputs (ok when unset). Used by the ladder walk to
-/// gate acceptance of a rung's result.
-Status checkObservableEquivalence(const Function &Prepared,
-                                  const Function &Optimized,
-                                  const PreOptions &Opts);
-
 /// Fault-isolated compilation of one function: tries the requested
 /// strategy under Opts.Budget, and on any recoverable failure (injected
 /// fault, budget exhaustion, verification failure, recoverable internal
 /// error, or a contained non-Status exception as worker-failed) retries
 /// down the degradation ladder. Each rung restarts with a fresh budget
-/// and is accepted only if the verifier (and, when EquivalenceInputs is
-/// set, interpreter equivalence with the input) passes. Never fails: the
-/// identity rung returns the input unchanged. Consults Opts.Cache
-/// (pre/CachedCompile.h).
+/// and is accepted only if the verifier and the Definition-1 oracle
+/// pass (PreOptions::Verify). Never fails: the identity rung returns the
+/// input unchanged. Consults Opts.Cache (pre/CachedCompile.h); a caller
+/// that needs only the printed IR passes \p TextOut, with the contract
+/// of compileThroughCache's TextOut (a mode-On hit returns an empty
+/// Function and the stored text).
 ///
 /// The outcome (rung used, retries, first failure) is written to
 /// \p OutcomeOut when non-null and recorded in Opts.Stats when set.
@@ -159,7 +149,8 @@ Status checkObservableEquivalence(const Function &Prepared,
 /// rung; ladder_retries, rungs abandoned; worker_failures, rungs
 /// abandoned because of a worker-failed exception.
 Function compileWithFallback(const Function &Prepared, const PreOptions &Opts,
-                             CompileOutcomeRecord *OutcomeOut = nullptr);
+                             CompileOutcomeRecord *OutcomeOut = nullptr,
+                             std::string *TextOut = nullptr);
 
 } // namespace specpre
 

@@ -245,24 +245,28 @@ CompileCache::readDiskEntry(const std::string &Path, std::string &PayloadOut) {
   return DiskReadResult::Hit;
 }
 
-std::optional<std::string> CompileCache::lookup(const CacheKey &Key) {
+std::optional<std::string> CompileCache::lookup(const CacheKey &Key,
+                                                CacheEntryKind Kind) {
+  const bool Compile = Kind == CacheEntryKind::Compile;
+  uint64_t &Hits = Compile ? Stats.Hits : Stats.TrainHits;
+  uint64_t &Misses = Compile ? Stats.Misses : Stats.TrainMisses;
   bool Probe = false;
   {
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = Index.find(Key);
     if (It != Index.end()) {
       Lru.splice(Lru.begin(), Lru, It->second);
-      ++Stats.Hits;
+      ++Hits;
       return It->second->second;
     }
     if (Cfg.DiskDir.empty()) {
-      ++Stats.Misses;
+      ++Misses;
       return std::nullopt;
     }
     if (!diskTierAdmitsLocked(Probe)) {
       // Open breaker: the disk tier is presumed down, so a cold key is
       // a miss by decree — costing a recompile, never a stall.
-      ++Stats.Misses;
+      ++Misses;
       return std::nullopt;
     }
   }
@@ -279,8 +283,9 @@ std::optional<std::string> CompileCache::lookup(const CacheKey &Key) {
     fs::last_write_time(DiskPath, fs::file_time_type::clock::now(), Ec);
     std::lock_guard<std::mutex> Lock(Mu);
     noteDiskOutcomeLocked(true, Probe);
-    ++Stats.Hits;
-    ++Stats.DiskHits;
+    ++Hits;
+    if (Compile)
+      ++Stats.DiskHits;
     rememberInMemory(Key, Payload);
     return Payload;
   }
@@ -288,14 +293,14 @@ std::optional<std::string> CompileCache::lookup(const CacheKey &Key) {
     // ENOENT is a working disk saying "no": a miss, not a failure.
     std::lock_guard<std::mutex> Lock(Mu);
     noteDiskOutcomeLocked(true, Probe);
-    ++Stats.Misses;
+    ++Misses;
     return std::nullopt;
   }
   case DiskReadResult::IoError: {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Stats.DiskIoErrors;
     noteDiskOutcomeLocked(false, Probe);
-    ++Stats.Misses;
+    ++Misses;
     return std::nullopt;
   }
   case DiskReadResult::Corrupt: {
@@ -307,7 +312,7 @@ std::optional<std::string> CompileCache::lookup(const CacheKey &Key) {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Stats.CorruptDropped;
     noteDiskOutcomeLocked(true, Probe);
-    ++Stats.Misses;
+    ++Misses;
     return std::nullopt;
   }
   }
@@ -427,10 +432,12 @@ Status CompileCache::publishDiskEntry(const std::string &Tmp,
 
 #endif
 
-void CompileCache::insert(const CacheKey &Key, std::string Payload) {
+void CompileCache::insert(const CacheKey &Key, std::string Payload,
+                          CacheEntryKind Kind) {
+  const bool Compile = Kind == CacheEntryKind::Compile;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    ++Stats.Stores;
+    ++(Compile ? Stats.Stores : Stats.TrainStores);
     rememberInMemory(Key, Payload);
   }
   if (Cfg.DiskDir.empty())
@@ -461,7 +468,8 @@ void CompileCache::insert(const CacheKey &Key, std::string Payload) {
     std::lock_guard<std::mutex> Lock(Mu);
     if (St.isOk()) {
       noteDiskOutcomeLocked(true, Probe);
-      ++Stats.DiskWrites;
+      if (Compile)
+        ++Stats.DiskWrites;
       ApproxDiskBytes += Framed.size();
       SweepNeeded = Cfg.MaxDiskBytes && ApproxDiskBytes > Cfg.MaxDiskBytes;
     } else {
@@ -666,6 +674,12 @@ CompileCache::ScrubReport CompileCache::scrubDiskTier(uint64_t MaxBytesPerSec) {
 void CompileCache::noteVerifyMismatch() {
   std::lock_guard<std::mutex> Lock(Mu);
   ++Stats.VerifyMismatches;
+}
+
+void CompileCache::noteBypass(CacheBypass Reason) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  ++(Reason == CacheBypass::FaultInjection ? Stats.FaultBypasses
+                                           : Stats.DegradedUnstored);
 }
 
 CacheCounters CompileCache::counters() const {

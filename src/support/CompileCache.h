@@ -112,7 +112,24 @@ struct CacheKey {
   auto operator<=>(const CacheKey &) const = default;
 };
 
+/// What an entry holds. Both kinds share every tier and mechanism (the
+/// LRU, the disk directory, checksums, sweeps, scrubs, the breaker);
+/// only the hit/miss/store counters are kept apart.
+enum class CacheEntryKind {
+  Compile,  ///< A compilation result (pre/CachedCompile.h).
+  Training, ///< A memoized training run (trainThroughCache).
+};
+
+/// Why the compile layer left the cache out of a compile or training
+/// run (noteBypass).
+enum class CacheBypass {
+  FaultInjection, ///< A pipeline fault site is armed: no lookup, no store.
+  Degraded,       ///< The compile degraded: looked up, but not stored.
+};
+
 /// Monotonic event counts since construction. Snapshot via counters().
+/// Hits, Misses, Stores, DiskHits and DiskWrites count compile entries
+/// only; training entries count in the Train* fields.
 struct CacheCounters {
   uint64_t Hits = 0;             ///< Lookups served (memory or disk).
   uint64_t Misses = 0;           ///< Lookups that found nothing.
@@ -129,6 +146,11 @@ struct CacheCounters {
   uint64_t BreakerState = 0;     ///< Gauge: DiskBreakerState at snapshot time.
   uint64_t ScrubScanned = 0;     ///< Entries examined by scrubDiskTier().
   uint64_t ScrubQuarantined = 0; ///< Corrupt entries quarantined by scrubs.
+  uint64_t TrainHits = 0;        ///< Training lookups served.
+  uint64_t TrainMisses = 0;      ///< Training lookups that found nothing.
+  uint64_t TrainStores = 0;      ///< Training entries inserted.
+  uint64_t FaultBypasses = 0;    ///< Lookups skipped under fault injection.
+  uint64_t DegradedUnstored = 0; ///< Degraded compiles not stored.
 };
 
 class CompileCache {
@@ -175,19 +197,26 @@ public:
   /// Returns the payload stored under \p Key, consulting memory first,
   /// then the disk directory (promoting a disk hit into the LRU). Disk
   /// bytes are checksum-verified before promotion; a corrupt entry is
-  /// deleted and reported as a miss.
-  std::optional<std::string> lookup(const CacheKey &Key);
+  /// deleted and reported as a miss. \p Kind selects the counters.
+  std::optional<std::string>
+  lookup(const CacheKey &Key, CacheEntryKind Kind = CacheEntryKind::Compile);
 
   /// Stores \p Payload under \p Key in memory and, when configured, on
   /// disk. Re-inserting an existing key refreshes its LRU position. A
   /// failed disk publish (ENOSPC, EIO, rename failure, open breaker)
   /// leaves the memory tier populated and is absorbed silently — the
-  /// caller's request never fails because the disk did.
-  void insert(const CacheKey &Key, std::string Payload);
+  /// caller's request never fails because the disk did. \p Kind selects
+  /// the counters.
+  void insert(const CacheKey &Key, std::string Payload,
+              CacheEntryKind Kind = CacheEntryKind::Compile);
 
   /// Verify-mode bookkeeping, called by the compile layer when a cached
-  /// entry disagrees with a fresh recompile.
+  /// entry disagrees with a fresh recompile (or a fresh training run).
   void noteVerifyMismatch();
+
+  /// Counts one compile or training run the compile layer kept out of
+  /// the cache, under \p Reason.
+  void noteBypass(CacheBypass Reason);
 
   CacheCounters counters() const;
 

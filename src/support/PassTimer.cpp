@@ -110,6 +110,11 @@ const Field<CacheCounters> CacheFields[] = {
     {"breaker_state", &CacheCounters::BreakerState, Fold::Max},
     {"scrub_scanned", &CacheCounters::ScrubScanned},
     {"scrub_quarantined", &CacheCounters::ScrubQuarantined},
+    {"train_hits", &CacheCounters::TrainHits},
+    {"train_misses", &CacheCounters::TrainMisses},
+    {"train_stores", &CacheCounters::TrainStores},
+    {"fault_bypasses", &CacheCounters::FaultBypasses},
+    {"degraded_unstored", &CacheCounters::DegradedUnstored},
 };
 
 const Field<ServiceCounters> ServiceFields[] = {

@@ -17,7 +17,12 @@
 //    a clean accounted miss, the breaker opens under a sustained disk
 //    fault burst and re-closes after a successful probe, and the
 //    scrubber quarantines rot before a reader ever sees it;
-//  * Verify mode audits hits without ever flagging a false mismatch.
+//  * Verify mode audits hits without ever flagging a false mismatch;
+//  * the training memo replays a training run's report and profile
+//    exactly, is keyed by every input of the run, stores only clean
+//    runs, and is audited by Verify mode;
+//  * a hit whose request needs only the emitted IR (no post-pass, no
+//    hook) emits the stored text, byte for byte the cold reply.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +30,13 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "pre/CachedCompile.h"
+#include "pre/CompileService.h"
 #include "pre/ParallelDriver.h"
 #include "pre/PreDriver.h"
 #include "support/CompileCache.h"
 #include "support/FaultInjector.h"
 #include "workload/ProgramGenerator.h"
+#include "workload/SpecSuite.h"
 
 #include <gtest/gtest.h>
 
@@ -278,8 +285,10 @@ TEST(CompileCacheTest, DegradedOutcomesAreNeverStored) {
   }
   CacheCounters C = Cache.counters();
   EXPECT_EQ(C.Stores, 0u);
+  EXPECT_EQ(C.DegradedUnstored, 2 * Corpus.size());
   EXPECT_EQ(C.Hits, 0u);
   EXPECT_EQ(C.Misses, 2 * Corpus.size());
+  EXPECT_EQ(C.FaultBypasses, 0u);
 }
 
 TEST(CompileCacheTest, FaultInjectionBypassesTheCacheEntirely) {
@@ -294,10 +303,19 @@ TEST(CompileCacheTest, FaultInjectionBypassesTheCacheEntirely) {
   PO.Prof = &Corpus.front().NodeOnly;
   PO.Cache = &Cache;
   Function Opt = compileWithFallback(Corpus.front().Prepared, PO);
-  disableFaultInjection();
-
   CacheCounters C = Cache.counters();
   EXPECT_EQ(C.Hits + C.Misses + C.Stores, 0u);
+  EXPECT_EQ(C.FaultBypasses, 1u);
+  // A training run takes the same admission rule.
+  Profile Prof;
+  ExecOptions EO;
+  EO.CollectProfile = &Prof;
+  trainThroughCache(Corpus.front().Prepared, {3, 4, 5}, EO, &Cache);
+  disableFaultInjection();
+  C = Cache.counters();
+  EXPECT_EQ(C.TrainHits + C.TrainMisses + C.TrainStores, 0u);
+  EXPECT_EQ(C.FaultBypasses, 2u);
+  EXPECT_EQ(C.DegradedUnstored, 0u);
   // And the bypass really compiled: same output as an uncached run.
   PO.Cache = nullptr;
   EXPECT_EQ(printFunction(Opt),
@@ -970,4 +988,458 @@ TEST(CompileCacheTest, ScrubQuarantinesCorruptEntriesAndReapsTemps) {
   CompileCache::ScrubReport R2 = Cache.scrubDiskTier();
   EXPECT_EQ(R2.Quarantined, 0u);
   fs::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// The training memo (docs/CACHING.md "Training memo")
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Function parsePrepared(const std::string &Text) {
+  std::string Error;
+  std::optional<Module> M = parseModule(Text, Error);
+  if (!M || M->Functions.size() != 1) {
+    ADD_FAILURE() << "not one function: " << Error;
+    return Function();
+  }
+  Function F = std::move(M->Functions.front());
+  prepareFunction(F);
+  return F;
+}
+
+/// One block: trains to HasEdgeFreqs with no edge at all.
+const char *OneBlockText = "func one(a) {\nentry:\n  x = a * a\n  ret x\n}\n";
+
+/// Traps on a zero argument.
+const char *TrapText = "func trap(a) {\nentry:\n  x = 7 / a\n  ret x\n}\n";
+
+std::string example(const char *Name) {
+  return readFileBytes(std::filesystem::path(SPECPRE_EXAMPLES_DIR) / Name);
+}
+
+ServeResponse serve(const ServeRequest &R, CompileCache *Cache,
+                    unsigned Jobs = 1, const ServeFunctionHook &Hook = {}) {
+  ParallelConfig PC;
+  PC.Jobs = Jobs;
+  ParallelPreDriver Driver(PC);
+  return processServeRequest(R, Driver, Cache, nullptr, Hook);
+}
+
+ServeRequest trainRequest(const std::string &Module,
+                          std::vector<int64_t> Args,
+                          PreStrategy S = PreStrategy::McSsaPre) {
+  ServeRequest R;
+  R.ModuleText = Module;
+  R.Strategy = S;
+  if (strategyNeedsProfile(S))
+    R.TrainArgs = std::move(Args);
+  return R;
+}
+
+void expectSameReply(const ServeResponse &A, const ServeResponse &B,
+                     const std::string &What) {
+  EXPECT_EQ(A.StdoutText, B.StdoutText) << What;
+  EXPECT_EQ(A.StderrText, B.StderrText) << What;
+  EXPECT_EQ(A.ExitCode, B.ExitCode) << What;
+  EXPECT_EQ(A.Degraded, B.Degraded) << What;
+}
+
+/// serializeProfile of every function's profile, as --profile-out
+/// writes it.
+ServeFunctionHook profileOut(std::string &Out) {
+  return [&Out](const Function &, const Profile &Prof, const Function &,
+                const PreStats &, ServeResponse &) {
+    Out += serializeProfile(Prof);
+    return 0;
+  };
+}
+
+} // namespace
+
+TEST(TrainingMemoTest, PayloadRoundTripsExactly) {
+  struct Case {
+    Function F;
+    std::vector<int64_t> Args;
+  };
+  std::vector<Case> Cases;
+  Cases.push_back({parsePrepared(OneBlockText), {-3}});
+  // p = 0: the then-block never runs, so the profile holds zero
+  // frequencies.
+  Cases.push_back(
+      {parsePrepared(example("diamond.spre")),
+       {1, 2, 0}});
+  for (CorpusEntry &E : makeCorpus(3))
+    Cases.push_back({std::move(E.Prepared), {3, 4, 5}});
+
+  bool SawOneBlock = false, SawZeroBlock = false;
+  for (const Case &C : Cases) {
+    Profile Prof;
+    ExecOptions EO;
+    EO.CollectProfile = &Prof;
+    ExecResult R = interpret(C.F, C.Args, EO);
+    ASSERT_FALSE(R.Trapped || R.TimedOut) << C.F.Name;
+    SawOneBlock |= Prof.HasEdgeFreqs && Prof.EdgeFreq.empty();
+    SawZeroBlock |= std::count(Prof.BlockFreq.begin(), Prof.BlockFreq.end(),
+                               0u) != 0;
+
+    const std::string Payload = encodeTrainingPayload(R, Prof);
+    ExecResult Back;
+    Back.StepsExecuted = 99;
+    Profile BackProf;
+    ASSERT_TRUE(
+        decodeTrainingPayload(Payload, C.F.numBlocks(), Back, BackProf))
+        << C.F.Name;
+    EXPECT_EQ(Back.ReturnValue, R.ReturnValue);
+    EXPECT_EQ(Back.DynamicComputations, R.DynamicComputations);
+    EXPECT_EQ(Back.Cycles, R.Cycles);
+    EXPECT_FALSE(Back.Trapped || Back.TimedOut);
+    EXPECT_EQ(BackProf.BlockFreq, Prof.BlockFreq) << C.F.Name;
+    EXPECT_EQ(BackProf.EdgeFreq, Prof.EdgeFreq) << C.F.Name;
+    EXPECT_EQ(BackProf.HasEdgeFreqs, Prof.HasEdgeFreqs) << C.F.Name;
+  }
+  EXPECT_TRUE(SawOneBlock);
+  EXPECT_TRUE(SawZeroBlock);
+
+  // The bytes, pinned: the edges flag is explicit, the profile is
+  // serializeProfile's text behind its byte count.
+  Profile One;
+  ExecOptions EO;
+  EO.CollectProfile = &One;
+  ExecResult R = interpret(Cases.front().F, {-3}, EO);
+  EXPECT_EQ(encodeTrainingPayload(R, One),
+            "specpre-train v1\n"
+            "result 9 1 " + std::to_string(R.Cycles) + "\n"
+            "edges 1\n"
+            "profile 29\n"
+            "specpre-profile v1\n"
+            "block 0 1\n");
+}
+
+TEST(TrainingMemoTest, ProfileOutAndMcPreKeyOnAWarmRunEqualCold) {
+  // A warm run's profile reaches the side channels byte for byte, and
+  // the one-block function's HasEdgeFreqs survives the memo: MC-PRE's
+  // compile key hashes it, so the warm compile is a hit.
+  for (PreStrategy S : {PreStrategy::McPre, PreStrategy::McSsaPre}) {
+    for (const std::string &Module :
+         {std::string(OneBlockText),
+          example("loop.spre")}) {
+      const ServeRequest Req =
+          trainRequest(Module, Module == OneBlockText
+                                   ? std::vector<int64_t>{5}
+                                   : std::vector<int64_t>{3, 4, 64},
+                       S);
+      std::string ColdProf, WarmProf;
+      const ServeResponse Cold = serve(Req, nullptr, 1, profileOut(ColdProf));
+      CompileCache Cache({});
+      std::string FillProf;
+      expectSameReply(Cold, serve(Req, &Cache, 1, profileOut(FillProf)),
+                      "fill");
+      const ServeResponse Warm = serve(Req, &Cache, 1, profileOut(WarmProf));
+      expectSameReply(Cold, Warm, "warm");
+      EXPECT_EQ(ColdProf, FillProf);
+      EXPECT_EQ(ColdProf, WarmProf);
+      CacheCounters C = Cache.counters();
+      EXPECT_EQ(C.TrainHits, 1u) << strategyName(S);
+      EXPECT_EQ(C.TrainMisses, 1u);
+      EXPECT_EQ(C.TrainStores, 1u);
+      EXPECT_EQ(C.Hits, 1u) << strategyName(S);
+      EXPECT_EQ(C.Misses, 1u);
+    }
+  }
+}
+
+TEST(TrainingMemoTest, KeyTracksEveryInputOfTheRun) {
+  const Function F = makeCorpus(1).front().Prepared;
+  const std::vector<int64_t> Args = {3, 4, 5};
+  const ExecOptions Base;
+  const CacheKey K0 = trainingCacheKey(F, Args, Base);
+  EXPECT_EQ(trainingCacheKey(F, Args, Base), K0);
+  // The profile sink is an output, not an input.
+  Profile Sink;
+  ExecOptions WithSink = Base;
+  WithSink.CollectProfile = &Sink;
+  EXPECT_EQ(trainingCacheKey(F, Args, WithSink), K0);
+
+  for (size_t I = 0; I != Args.size(); ++I) {
+    std::vector<int64_t> A = Args;
+    ++A[I];
+    EXPECT_NE(trainingCacheKey(F, A, Base), K0) << "argument " << I;
+  }
+  EXPECT_NE(trainingCacheKey(F, {3, 4}, Base), K0) << "argument count";
+
+  ExecOptions EO = Base;
+  ++EO.MaxSteps;
+  EXPECT_NE(trainingCacheKey(F, Args, EO), K0) << "MaxSteps";
+
+  for (unsigned Op = 0; Op != NumOpcodes; ++Op) {
+    EO = Base;
+    ++EO.Costs.OpCost[Op];
+    EXPECT_NE(trainingCacheKey(F, Args, EO), K0) << "OpCost " << Op;
+  }
+  for (uint64_t CostModel::*Field :
+       {&CostModel::CopyCost, &CostModel::PhiCost, &CostModel::BranchCost,
+        &CostModel::JumpCost, &CostModel::RetCost, &CostModel::PrintCost}) {
+    EO = Base;
+    ++(EO.Costs.*Field);
+    EXPECT_NE(trainingCacheKey(F, Args, EO), K0) << "a scalar cost";
+  }
+
+  Function Renamed = F;
+  Renamed.VarNames[Renamed.Params.front()] += "x";
+  EXPECT_NE(trainingCacheKey(Renamed, Args, Base), K0) << "one token";
+
+  // A training key never addresses a compile entry of the same function.
+  PreOptions PO;
+  PO.Strategy = PreStrategy::None;
+  EXPECT_NE(compileCacheKey(F, PO), K0);
+}
+
+TEST(TrainingMemoTest, OnlyCleanRunsAreStored) {
+  CompileCache Cache({});
+  ExecOptions EO;
+  Profile Prof;
+  EO.CollectProfile = &Prof;
+
+  const Function Trap = parsePrepared(TrapText);
+  ExecResult R = trainThroughCache(Trap, {0}, EO, &Cache);
+  EXPECT_TRUE(R.Trapped);
+  const Function Loop =
+      parsePrepared(example("loop.spre"));
+  EO.MaxSteps = 20;
+  R = trainThroughCache(Loop, {3, 4, 64}, EO, &Cache);
+  EXPECT_TRUE(R.TimedOut);
+  CacheCounters C = Cache.counters();
+  EXPECT_EQ(C.TrainMisses, 2u);
+  EXPECT_EQ(C.TrainStores, 0u);
+  // Nothing stored, so the same runs miss again.
+  trainThroughCache(Loop, {3, 4, 64}, EO, &Cache);
+  EXPECT_EQ(Cache.counters().TrainMisses, 3u);
+  EXPECT_EQ(Cache.counters().TrainStores, 0u);
+}
+
+TEST(TrainingMemoTest, TruncatedAndForeignEntriesAreMisses) {
+  auto Corpus = makeCorpus(2);
+  const Function &F = Corpus[0].Prepared;
+  const std::vector<int64_t> Args = {3, 4, 5};
+  Profile Prof;
+  ExecOptions EO;
+  EO.CollectProfile = &Prof;
+  const ExecResult Cold = interpret(F, Args, EO);
+  const Profile ColdProf = Prof;
+  const std::string Payload = encodeTrainingPayload(Cold, ColdProf);
+
+  // Every truncation fails to decode, at a line boundary too.
+  const size_t LastLine = Payload.rfind('\n', Payload.size() - 2) + 1;
+  for (size_t Cut :
+       {Payload.size() - 1, LastLine, Payload.size() / 2, size_t{0}}) {
+    ExecResult R;
+    Profile P;
+    EXPECT_FALSE(decodeTrainingPayload(Payload.substr(0, Cut), F.numBlocks(),
+                                       R, P))
+        << "truncation at " << Cut << " decoded";
+  }
+  // So do a wrong block count, a non-canonical profile and an edge line
+  // under "edges 0".
+  ExecResult R;
+  Profile P;
+  EXPECT_FALSE(decodeTrainingPayload(Payload, F.numBlocks() + 1, R, P));
+  std::string Padded = Payload;
+  Padded.replace(Padded.find("profile "), std::string::npos,
+                 "profile " +
+                     std::to_string(serializeProfile(ColdProf).size() + 1) +
+                     "\n" + serializeProfile(ColdProf) + "\n");
+  EXPECT_FALSE(decodeTrainingPayload(Padded, F.numBlocks(), R, P));
+  ASSERT_FALSE(ColdProf.EdgeFreq.empty());
+  std::string NoEdges = Payload;
+  NoEdges.replace(NoEdges.find("edges 1"), 7, "edges 0");
+  EXPECT_FALSE(decodeTrainingPayload(NoEdges, F.numBlocks(), R, P));
+
+  // Through the protocol: a truncated entry, and another function's
+  // entry planted under this key, are misses that interpret and
+  // overwrite.
+  Profile Other;
+  ExecOptions OtherEO;
+  OtherEO.CollectProfile = &Other;
+  const Function One = parsePrepared(OneBlockText);
+  const std::string Foreign =
+      encodeTrainingPayload(interpret(One, {2}, OtherEO), Other);
+  ASSERT_NE(One.numBlocks(), F.numBlocks());
+  const CacheKey Key = trainingCacheKey(F, Args, ExecOptions());
+  for (const std::string &Planted : {Payload.substr(0, LastLine), Foreign}) {
+    CompileCache Cache({});
+    Cache.insert(Key, Planted, CacheEntryKind::Training);
+    Profile Got;
+    ExecOptions GotEO;
+    GotEO.CollectProfile = &Got;
+    ExecResult Warm = trainThroughCache(F, Args, GotEO, &Cache);
+    EXPECT_EQ(encodeTrainingPayload(Warm, Got), Payload);
+    EXPECT_EQ(Warm.StepsExecuted, Cold.StepsExecuted) << "it interpreted";
+    EXPECT_EQ(Cache.counters().TrainStores, 2u) << "it overwrote";
+    EXPECT_EQ(*Cache.lookup(Key, CacheEntryKind::Training), Payload);
+  }
+}
+
+TEST(TrainingMemoTest, VerifyModeAuditsTheTrainingKey) {
+  const std::string Module =
+      example("loop.spre");
+  const ServeRequest Req = trainRequest(Module, {3, 4, 64});
+  const ServeResponse Cold = serve(Req, nullptr);
+
+  // Plant an entry whose return value is wrong under the training key
+  // the request will compute.
+  const Function F = parsePrepared(Module);
+  Profile Prof;
+  ExecOptions EO;
+  EO.CollectProfile = &Prof;
+  ExecResult Wrong = interpret(F, {3, 4, 64}, EO);
+  ++Wrong.ReturnValue;
+  CompileCache::Config CC;
+  CC.Mode = CacheMode::Verify;
+  CompileCache Cache(CC);
+  Cache.insert(trainingCacheKey(F, {3, 4, 64}, ExecOptions()),
+               encodeTrainingPayload(Wrong, Prof), CacheEntryKind::Training);
+
+  expectSameReply(Cold, serve(Req, &Cache), "verify");
+  CacheCounters C = Cache.counters();
+  EXPECT_EQ(C.TrainHits, 1u);
+  EXPECT_EQ(C.VerifyMismatches, 1u);
+
+  // The audit keeps the entry; a correct one audits clean.
+  expectSameReply(Cold, serve(Req, &Cache), "verify again");
+  EXPECT_EQ(Cache.counters().VerifyMismatches, 2u);
+  CompileCache Clean(CC);
+  serve(Req, &Clean);
+  expectSameReply(Cold, serve(Req, &Clean), "verify clean");
+  EXPECT_EQ(Clean.counters().VerifyMismatches, 0u);
+  EXPECT_EQ(Clean.counters().TrainHits, 1u);
+  EXPECT_EQ(Clean.counters().Hits, 1u);
+}
+
+TEST(TrainingMemoTest, ARebuildNeitherRetrainsNorRecompiles) {
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::temp_directory_path() / "specpre-cache-test-rebuild";
+  fs::remove_all(Dir);
+  const ServeRequest Req = trainRequest(
+      example("loop.spre"), {3, 4, 64});
+  const ServeResponse Cold = serve(Req, nullptr);
+  CompileCache::Config CC;
+  CC.DiskDir = Dir.string();
+  {
+    CompileCache Fill(CC);
+    expectSameReply(Cold, serve(Req, &Fill), "fill");
+    CacheCounters C = Fill.counters();
+    EXPECT_EQ(C.DiskWrites, 1u) << "compile entries only";
+    EXPECT_EQ(C.TrainStores, 1u);
+  }
+  CompileCache Rebuild(CC);
+  expectSameReply(Cold, serve(Req, &Rebuild), "rebuild");
+  CacheCounters C = Rebuild.counters();
+  EXPECT_EQ(C.DiskHits, 1u);
+  EXPECT_EQ(C.Hits, 1u);
+  EXPECT_EQ(C.Misses, 0u);
+  EXPECT_EQ(C.TrainHits, 1u);
+  EXPECT_EQ(C.TrainMisses, 0u);
+  EXPECT_EQ(C.DiskWrites, 0u);
+  EXPECT_EQ(C.Stores + C.TrainStores, 0u);
+  fs::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// Text-only hits
+//===----------------------------------------------------------------------===//
+
+TEST(TextOnlyHitTest, WarmRepliesEqualColdOnSpecSuite) {
+  const std::vector<BenchmarkSpec> Suite = fullCpu2006Suite();
+  ASSERT_EQ(Suite.size(), 29u);
+  for (PreStrategy S :
+       {PreStrategy::McSsaPre, PreStrategy::SsaPre, PreStrategy::None}) {
+    CompileCache Cache({});
+    for (const BenchmarkSpec &Spec : Suite) {
+      const Function Program = Spec.buildProgram();
+      const ServeRequest Req =
+          trainRequest(printFunction(Program), Spec.TrainArgs, S);
+      const std::string What = Spec.Name + " " + strategyName(S);
+      const ServeResponse Cold = serve(Req, nullptr);
+      ASSERT_EQ(Cold.ExitCode, 0) << What << Cold.StderrText;
+      expectSameReply(Cold, serve(Req, &Cache), What + " fill");
+      const CacheCounters Before = Cache.counters();
+      expectSameReply(Cold, serve(Req, &Cache), What + " warm");
+      const CacheCounters After = Cache.counters();
+      EXPECT_EQ(After.Hits, Before.Hits + 1) << What;
+      EXPECT_EQ(After.Misses, Before.Misses) << What;
+
+      // The stored text is printFunction's fixed point: parsing it and
+      // printing it again gives the same bytes, so emitting it unparsed
+      // is what a parsed hit would emit.
+      Function Prepared = Program;
+      prepareFunction(Prepared);
+      Profile Prof;
+      ExecOptions EO;
+      EO.CollectProfile = &Prof;
+      if (strategyNeedsProfile(S))
+        interpret(Prepared, Spec.TrainArgs, EO);
+      Profile NodeOnly = Prof.withoutEdgeFreqs();
+      PreStats Stats;
+      PreOptions PO;
+      PO.Strategy = S;
+      PO.Prof = &NodeOnly;
+      PO.Stats = &Stats;
+      CompileOutcomeRecord Outcome;
+      const Function Opt = compileWithFallback(Prepared, PO, &Outcome);
+      DecodedPayload P;
+      ASSERT_TRUE(decodeCachePayload(
+          encodeCachePayload(Opt, Stats.records(), Outcome), P));
+      Function Parsed;
+      ASSERT_TRUE(parseCachedIr(P, Parsed)) << What;
+      EXPECT_EQ(printFunction(Parsed), P.Ir) << What;
+      EXPECT_EQ(Parsed.IsSSA, Opt.IsSSA) << What;
+    }
+  }
+}
+
+TEST(TextOnlyHitTest, WarmJobsMatchSerialOnAModule) {
+  const ServeRequest Req = trainRequest(
+      example("module.spre"),
+      {3, 4, 64});
+  const ServeResponse Cold = serve(Req, nullptr);
+  ASSERT_EQ(Cold.ExitCode, 0) << Cold.StderrText;
+  CompileCache Cache({});
+  expectSameReply(Cold, serve(Req, &Cache, 1), "fill");
+  for (unsigned Jobs : {1u, 4u})
+    expectSameReply(Cold, serve(Req, &Cache, Jobs),
+                    "warm --jobs=" + std::to_string(Jobs));
+  CacheCounters C = Cache.counters();
+  EXPECT_EQ(C.Misses, 2u);
+  EXPECT_EQ(C.Hits, 4u);
+  EXPECT_EQ(C.TrainHits, 4u);
+}
+
+TEST(TextOnlyHitTest, PostPassesAndHooksStillParseTheHit) {
+  // The hit of a request that runs a post-pass, or carries a hook, is a
+  // parsed Function: the hook sees the optimized function, and the
+  // post-passes run on it, exactly as cold.
+  const std::string Module =
+      example("loop.spre");
+  ServeRequest Req = trainRequest(Module, {3, 4, 64});
+  Req.Gvn = Req.Cleanup = Req.OutOfSsa = true;
+  CompileCache Cache({});
+  const ServeResponse Cold = serve(Req, nullptr);
+  serve(Req, &Cache);
+  expectSameReply(Cold, serve(Req, &Cache), "post-passes");
+
+  Req = trainRequest(Module, {3, 4, 64});
+  std::string ColdIr, WarmIr;
+  auto Printer = [](std::string &Out) -> ServeFunctionHook {
+    return [&Out](const Function &, const Profile &, const Function &Opt,
+                  const PreStats &, ServeResponse &) {
+      Out += printFunction(Opt);
+      return 0;
+    };
+  };
+  serve(Req, nullptr, 1, Printer(ColdIr));
+  serve(Req, &Cache, 1, Printer(WarmIr));
+  EXPECT_EQ(Cache.counters().Hits, 2u);
+  EXPECT_FALSE(ColdIr.empty());
+  EXPECT_EQ(ColdIr, WarmIr);
 }

@@ -249,7 +249,8 @@ PipelineMetrics distinctMetrics(uint64_t Seed) {
         &K.DiskWrites, &K.DiskEvictions, &K.VerifyMismatches,
         &K.CorruptDropped, &K.DiskIoErrors, &K.BreakerOpens,
         &K.BreakerShortCircuits, &K.BreakerState, &K.ScrubScanned,
-        &K.ScrubQuarantined})
+        &K.ScrubQuarantined, &K.TrainHits, &K.TrainMisses, &K.TrainStores,
+        &K.FaultBypasses, &K.DegradedUnstored})
     *C = ++V;
   ServiceCounters &Sv = M.service();
   for (uint64_t *C :
@@ -444,8 +445,8 @@ TEST(MetricsJson, DocumentBytesArePinned) {
 "robustness": {"functions_compiled": 1001, "functions_degraded": 1002, "ladder_retries": 1003, "worker_failures": 1004},
 "arena": {"network_builds": 1005, "peak_bytes": 1006, "chunk_allocations": 1007},
 "lospre": {"solved": 1008, "bailouts": 1009, "width_peak": 1010, "dp_entries": 1011},
-"cache": {"hits": 1012, "misses": 1013, "stores": 1014, "evictions": 1015, "disk_hits": 1016, "disk_writes": 1017, "disk_evictions": 1018, "verify_mismatches": 1019, "corrupt_dropped": 1020, "disk_io_errors": 1021, "breaker_opens": 1022, "breaker_short_circuits": 1023, "breaker_state": 1024, "scrub_scanned": 1025, "scrub_quarantined": 1026},
-"service": {"requests_received": 1027, "requests_succeeded": 1028, "requests_failed": 1029, "requests_degraded": 1030, "queue_depth_peak": 1031, "queue_wait_millis": 0.001032, "compile_millis": 0.001033, "worker_crashes": 1034, "deadline_kills": 1035, "quarantined": 1036, "shed": 1037, "retries": 1038}})");
+"cache": {"hits": 1012, "misses": 1013, "stores": 1014, "evictions": 1015, "disk_hits": 1016, "disk_writes": 1017, "disk_evictions": 1018, "verify_mismatches": 1019, "corrupt_dropped": 1020, "disk_io_errors": 1021, "breaker_opens": 1022, "breaker_short_circuits": 1023, "breaker_state": 1024, "scrub_scanned": 1025, "scrub_quarantined": 1026, "train_hits": 1027, "train_misses": 1028, "train_stores": 1029, "fault_bypasses": 1030, "degraded_unstored": 1031},
+"service": {"requests_received": 1032, "requests_succeeded": 1033, "requests_failed": 1034, "requests_degraded": 1035, "queue_depth_peak": 1036, "queue_wait_millis": 0.001037, "compile_millis": 0.001038, "worker_crashes": 1039, "deadline_kills": 1040, "quarantined": 1041, "shed": 1042, "retries": 1043}})");
 }
 
 TEST(MetricsJson, MergeKeepsTheMaxOfGaugesAndSumsTheRest) {
@@ -478,7 +479,7 @@ TEST(MetricsJson, MergeKeepsTheMaxOfGaugesAndSumsTheRest) {
         EXPECT_NEAR(Merged.num(), BigV + SmallV, 1e-9) << Group << "." << Key;
     }
   }
-  EXPECT_EQ(Counters, 38u);
+  EXPECT_EQ(Counters, 43u);
   EXPECT_EQ(MaxFolded, Gauges);
   // Step records only sum.
   for (unsigned I = 0; I != NumPipelineSteps; ++I)

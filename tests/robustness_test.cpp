@@ -292,19 +292,6 @@ TEST_F(RobustnessTest, UseBeforeDefDegradesToIdentity) {
   EXPECT_EQ(printFunction(Out), printFunction(F));
 }
 
-TEST_F(RobustnessTest, EquivalenceInputsGateAcceptance) {
-  Case C = prepareCase();
-  std::vector<std::vector<int64_t>> Inputs = {{3, 4, 64}, {1, 2, 5}, {}};
-  PreOptions PO;
-  PO.Strategy = PreStrategy::McSsaPre;
-  PO.Prof = &C.NodeOnly;
-  PO.EquivalenceInputs = &Inputs;
-  CompileOutcomeRecord O;
-  Function Out = compileWithFallback(C.Prepared, PO, &O);
-  EXPECT_EQ(O.Used, "MC-SSAPRE");
-  EXPECT_FALSE(O.degraded());
-}
-
 TEST_F(RobustnessTest, BruteForceOracleRejectsOversizedNetwork) {
   FlowNetwork Net;
   for (int I = 0; I != 23; ++I)

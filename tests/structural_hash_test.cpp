@@ -4,12 +4,13 @@
 // content addressing (docs/CACHING.md). Two kinds of checks:
 //
 //  * **pinned digests** — the exact hex digests of the running-example
-//    miniature (tests/running_example_test.cpp) and of its cache keys
-//    are hard-coded below. Any change to the walk order, the mixer, the
-//    lane seeds or the key composition fails here *by design*: such a
-//    change silently invalidates every existing cache directory, and the
-//    pin forces that to be a reviewed decision (bump the constants, note
-//    it in docs/CACHING.md) rather than an accident.
+//    miniature (tests/running_example_test.cpp), of its cache keys and
+//    of its training key are hard-coded below. Any change to the walk
+//    order, the mixer, the lane seeds or the key composition fails here
+//    *by design*: such a change silently invalidates every existing
+//    cache directory, and the pin forces that to be a reviewed decision
+//    (bump the constants, note it in docs/CACHING.md) rather than an
+//    accident.
 //
 //  * **sensitivity/insensitivity properties** — every single-token edit
 //    of the IR must change the digest, while content-free differences
@@ -132,6 +133,14 @@ TEST(StructuralHash, PinnedCacheKeys) {
   PO.Strategy = PreStrategy::McPre;
   PO.Prof = &Prof;
   EXPECT_EQ(compileCacheKey(F, PO).toHex(), "c84eb4307d7c0663ec4fa4ed9ae58b62");
+}
+
+TEST(StructuralHash, PinnedTrainingKey) {
+  // The training memo's address of the running example (tag
+  // specpre-train-key-v1, default step budget and cost model).
+  EXPECT_EQ(trainingCacheKey(makeMini(), {3, 4, 1, 0, 1, 1}, ExecOptions())
+                .toHex(),
+            "897ba5c3dcdf22ad644ec94c8550dbb0");
 }
 
 TEST(StructuralHash, HexFormatIsHiThenLo) {

@@ -641,13 +641,20 @@ int main(int Argc, char **Argv) {
   }
 
   // The daemon's request path, plus the side channels only a local run
-  // has: its output is the --connect output by construction.
+  // has: its output is the --connect output by construction. Without a
+  // side channel there is no hook, so cache hits take the daemon's
+  // text-only path too.
+  ServeFunctionHook SideChannels;
+  if (Opts.Stats || Opts.RunArgs || !Opts.DotCfgPath.empty() ||
+      !Opts.DotFrgPath.empty() || !Opts.ProfileOutPath.empty())
+    SideChannels = [&](const Function &F, const Profile &Prof,
+                       const Function &Optimized, const PreStats &Stats,
+                       ServeResponse &R) {
+      return runLocalSideChannels(Opts, F, Prof, Optimized, Stats, R);
+    };
   ServeResponse Resp = processServeRequest(
       Req, Driver, Cache.get(), WantMetrics ? &Metrics : nullptr,
-      [&](const Function &F, const Profile &Prof, const Function &Optimized,
-          const PreStats &Stats, ServeResponse &R) {
-        return runLocalSideChannels(Opts, F, Prof, Optimized, Stats, R);
-      });
+      SideChannels);
   if (int Rc = replay(Resp))
     return Rc;
 
@@ -661,7 +668,8 @@ int main(int Argc, char **Argv) {
         stderr,
         "cache: hits=%llu misses=%llu stores=%llu evictions=%llu "
         "disk_hits=%llu disk_writes=%llu verify_mismatches=%llu "
-        "corrupt_dropped=%llu disk_io_errors=%llu breaker_opens=%llu\n",
+        "corrupt_dropped=%llu disk_io_errors=%llu breaker_opens=%llu "
+        "train_hits=%llu train_misses=%llu\n",
         static_cast<unsigned long long>(CacheStats.Hits),
         static_cast<unsigned long long>(CacheStats.Misses),
         static_cast<unsigned long long>(CacheStats.Stores),
@@ -671,7 +679,9 @@ int main(int Argc, char **Argv) {
         static_cast<unsigned long long>(CacheStats.VerifyMismatches),
         static_cast<unsigned long long>(CacheStats.CorruptDropped),
         static_cast<unsigned long long>(CacheStats.DiskIoErrors),
-        static_cast<unsigned long long>(CacheStats.BreakerOpens));
+        static_cast<unsigned long long>(CacheStats.BreakerOpens),
+        static_cast<unsigned long long>(CacheStats.TrainHits),
+        static_cast<unsigned long long>(CacheStats.TrainMisses));
   }
 
   if (WantMetrics) {
