@@ -226,7 +226,8 @@ int main() {
         Frg G(Ssa, C, DT, E);
         if (G.reals().empty())
           continue;
-        EfgBuild B = buildEfgNetwork(G, NodeOnly);
+        EfgBuild B;
+        buildEfgNetwork(G, NodeOnly, CutObjective::speed(), B);
         if (!B.Empty)
           Efgs.push_back(std::move(B));
       }

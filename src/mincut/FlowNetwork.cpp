@@ -41,12 +41,8 @@ void FlowNetwork::freeze() {
 
   Csr.assign(2 * M, Edge());
   FwdSlot.assign(M, 0);
-  // Fill[] tracks the next free slot per node; reuse FwdSlot's final
-  // values afterwards, so Fill must be separate while filling.
-  ArenaVector<uint32_t> Fill(Arena);
-  Fill.resize(N, 0);
-  for (size_t I = 0; I != N; ++I)
-    Fill[I] = Start[I];
+  // Fill[] tracks the next free slot per node.
+  Fill.assign(Start.begin(), Start.end() - 1);
 
   for (size_t E = 0; E != M; ++E) {
     const OrigEdge &O = Orig[E];
@@ -73,6 +69,15 @@ int64_t FlowNetwork::edgeFlow(int EdgeId) const {
   assert(Frozen && "edgeFlow requires a frozen network");
   return Orig[static_cast<size_t>(EdgeId)].Cap -
          Csr[FwdSlot[static_cast<size_t>(EdgeId)]].Cap;
+}
+
+void FlowNetwork::clear() {
+  NumNodes_ = 0;
+  Frozen = false;
+  Orig.clear();
+  Csr.clear();
+  Start.clear();
+  FwdSlot.clear();
 }
 
 void FlowNetwork::resetFlow() {

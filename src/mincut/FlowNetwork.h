@@ -18,18 +18,20 @@
 /// idempotent and is invoked by the solvers; adding an edge to a frozen
 /// network unfreezes it (losing any flow) and the next freeze rebuilds.
 ///
-/// All storage can be drawn from a BumpArena (support/Arena.h), which
-/// the PRE legs reset per candidate expression — steady-state network
-/// construction then performs no heap allocation at all.
+/// clear() empties a network and keeps its storage, so a caller that
+/// reuses one network per candidate expression (the PRE legs do) makes
+/// no heap allocation once the vectors have grown to the largest
+/// network seen.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPECPRE_MINCUT_FLOWNETWORK_H
 #define SPECPRE_MINCUT_FLOWNETWORK_H
 
-#include "support/Arena.h"
-
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace specpre {
 
@@ -93,9 +95,7 @@ public:
   using EdgeRange = EdgeSpan<Edge>;
   using ConstEdgeRange = EdgeSpan<const Edge>;
 
-  explicit FlowNetwork(int NumNodes = 0, BumpArena *A = nullptr)
-      : Arena(A), NumNodes_(NumNodes), Orig(A), Csr(A), Start(A),
-        FwdSlot(A) {}
+  explicit FlowNetwork(int NumNodes = 0) : NumNodes_(NumNodes) {}
 
   int addNode() {
     assert(!Frozen && "addNode on a frozen network");
@@ -108,10 +108,6 @@ public:
   /// caller tag (used to map cut edges back to FRG edges). Returns an
   /// opaque id usable with edgeFlow().
   int addEdge(int From, int To, int64_t Cap, int UserTag = -1);
-
-  /// Pre-sizes the original-edge array (arena users reserve up front so
-  /// construction never abandons a grown buffer inside the arena).
-  void reserveEdges(size_t N) { Orig.reserve(N); }
 
   /// Builds the CSR layout; idempotent. Solvers call this on entry, so
   /// callers only need it when walking edgesFrom() on a never-solved
@@ -171,6 +167,10 @@ public:
   /// Resets all flow to zero (restores residual capacities).
   void resetFlow();
 
+  /// Empties the network (no nodes, no edges, unfrozen) and keeps the
+  /// storage of its arrays for the next build.
+  void clear();
+
 private:
   struct OrigEdge {
     int From;
@@ -179,13 +179,13 @@ private:
     int64_t Cap;
   };
 
-  BumpArena *Arena;
   int NumNodes_ = 0;
   bool Frozen = false;
-  ArenaVector<OrigEdge> Orig;    ///< One record per addEdge call.
-  ArenaVector<Edge> Csr;         ///< 2 * Orig.size() residual edge slots.
-  ArenaVector<uint32_t> Start;   ///< numNodes+1 CSR offsets.
-  ArenaVector<uint32_t> FwdSlot; ///< Original edge id -> forward CSR slot.
+  std::vector<OrigEdge> Orig;    ///< One record per addEdge call.
+  std::vector<Edge> Csr;         ///< 2 * Orig.size() residual edge slots.
+  std::vector<uint32_t> Start;   ///< numNodes+1 CSR offsets.
+  std::vector<uint32_t> FwdSlot; ///< Original edge id -> forward CSR slot.
+  std::vector<uint32_t> Fill;    ///< freeze()'s next free slot per node.
 };
 
 } // namespace specpre

@@ -6,7 +6,6 @@
 #include "support/Diagnostics.h"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <vector>
 
@@ -140,13 +139,13 @@ const char *specpre::maxFlowAlgorithmName(MaxFlowAlgorithm Algo) {
   SPECPRE_UNREACHABLE("bad max-flow algorithm");
 }
 
-bool specpre::parseMaxFlowAlgorithm(const char *Name,
+bool specpre::parseMaxFlowAlgorithm(const std::string &Name,
                                     MaxFlowAlgorithm &Out) {
-  if (!std::strcmp(Name, "edmonds-karp") || !std::strcmp(Name, "ek")) {
+  if (Name == "edmonds-karp" || Name == "ek") {
     Out = MaxFlowAlgorithm::EdmondsKarp;
     return true;
   }
-  if (!std::strcmp(Name, "dinic")) {
+  if (Name == "dinic") {
     Out = MaxFlowAlgorithm::Dinic;
     return true;
   }

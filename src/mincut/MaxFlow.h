@@ -22,6 +22,8 @@
 
 #include "mincut/FlowNetwork.h"
 
+#include <string>
+
 namespace specpre {
 
 /// The numeric values enter the compile-cache key (pre/CachedCompile.cpp)
@@ -34,7 +36,7 @@ const char *maxFlowAlgorithmName(MaxFlowAlgorithm Algo);
 
 /// Inverse of maxFlowAlgorithmName (also accepts "ek"). Returns false on
 /// an unknown name.
-bool parseMaxFlowAlgorithm(const char *Name, MaxFlowAlgorithm &Out);
+bool parseMaxFlowAlgorithm(const std::string &Name, MaxFlowAlgorithm &Out);
 
 /// All implemented algorithms, reference first, for test/fuzz matrices.
 constexpr MaxFlowAlgorithm AllMaxFlowAlgorithms[] = {

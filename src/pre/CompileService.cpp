@@ -153,7 +153,7 @@ bool specpre::decodeServeRequest(const std::string &Payload,
       else
         return Bad("bad placement '" + Tok[1] + "'");
     } else if (Key == "algo") {
-      if (Tok.size() != 2 || !parseMaxFlowAlgorithm(Tok[1].c_str(), Out.Algo))
+      if (Tok.size() != 2 || !parseMaxFlowAlgorithm(Tok[1], Out.Algo))
         return Bad("bad algo directive");
     } else if (Key == "objective") {
       if (Tok.size() != 3 || !parseU64(Tok[1], Out.Objective.SpeedWeight) ||

@@ -16,14 +16,13 @@ EfgStats specpre::computeLosprePlacement(Frg &G, const Profile &Prof,
                                          unsigned MaxWidth) {
   EfgStats Stats;
 
-  // Same arena discipline as the max-flow leg: one per worker thread,
-  // reset per expression.
-  static thread_local BumpArena EfgArena;
-  EfgArena.reset();
+  // Same reuse as the max-flow leg: one build per worker thread,
+  // refilled per expression.
+  static thread_local EfgBuild B;
 
   // Steps 3-6 are shared verbatim with MC-SSAPRE: leg D solves the very
   // same network, which is what makes cross-leg cost equality exact.
-  EfgBuild B = buildEfgNetwork(G, Prof, Objective, &EfgArena);
+  buildEfgNetwork(G, Prof, Objective, B);
   Stats.Saturated = B.Saturated;
   Stats.SprWeight = B.SprWeight;
   if (B.Empty) {
@@ -34,8 +33,6 @@ EfgStats specpre::computeLosprePlacement(Frg &G, const Profile &Prof,
   Stats.Empty = false;
   Stats.NumNodes = static_cast<unsigned>(B.Net.numNodes());
   Stats.NumEdges = B.NumEdges;
-  if (PipelineMetrics *M = currentMetricsSink())
-    M->noteNetworkArena(EfgArena.peakBytes(), EfgArena.chunkAllocations());
 
   PassTimer MinCutTimer(PipelineStep::MinCut, Stats.NumNodes + B.NumEdges);
   if (BudgetTracker *Bt = currentBudget()) {

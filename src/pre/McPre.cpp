@@ -9,7 +9,6 @@
 #include "support/Budget.h"
 #include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
-#include "support/PassTimer.h"
 
 #include <cassert>
 #include <deque>
@@ -23,8 +22,6 @@ namespace {
 
 /// The flow network MC-PRE forms for one expression on the CFG.
 struct McPreNetwork {
-  explicit McPreNetwork(BumpArena *A = nullptr) : Net(0, A) {}
-
   FlowNetwork Net;
   int Source = -1, Sink = -1;
 
@@ -33,7 +30,6 @@ struct McPreNetwork {
     enum class Kind { InsertOnEdge, ComputeInPlace };
     Kind K = Kind::InsertOnEdge;
     BlockId From = InvalidBlock, To = InvalidBlock; ///< InsertOnEdge.
-    BlockId Block = InvalidBlock;                   ///< ComputeInPlace.
   };
   std::vector<Action> Actions;
 
@@ -46,15 +42,13 @@ struct McPreNetwork {
 /// are computation points.
 McPreNetwork buildNetwork(const Function &F, const Cfg &C,
                           const LocalExprProps &Local, unsigned EIdx,
-                          const Profile &Prof, BumpArena *Arena = nullptr) {
-  McPreNetwork M(Arena);
+                          const Profile &Prof) {
+  McPreNetwork M;
   M.Source = M.Net.addNode();
   M.Sink = M.Net.addNode();
 
   unsigned NB = F.numBlocks();
-  ArenaVector<int> InNode(Arena), OutNode(Arena);
-  InNode.resize(NB, -1);
-  OutNode.resize(NB, -1);
+  std::vector<int> InNode(NB, -1), OutNode(NB, -1);
   for (unsigned B = 0; B != NB; ++B) {
     if (!C.isReachable(static_cast<BlockId>(B)))
       continue;
@@ -91,7 +85,6 @@ McPreNetwork buildNetwork(const Function &F, const Cfg &C,
       int Use = M.Net.addNode();
       McPreNetwork::Action A;
       A.K = McPreNetwork::Action::Kind::ComputeInPlace;
-      A.Block = static_cast<BlockId>(B);
       M.Net.addEdge(InNode[B], Use,
                     saturatedEdgeWeight(
                         Prof.blockFreq(static_cast<BlockId>(B)), 1, 0),
@@ -173,11 +166,8 @@ void specpre::runMcPre(Function &F, const Profile &Prof, PreStats *Stats,
   Profile WorkProf = Prof;
 
   std::vector<ExprKey> Exprs = collectCandidateExprs(F);
-  // One arena backs every per-expression network, reset (not freed)
-  // between expressions; the CFG is recomputed only after an iteration
-  // that inserted (edge splitting reshapes the blocks), and reused
-  // otherwise.
-  BumpArena NetArena;
+  // The CFG is recomputed only after an iteration that inserted (edge
+  // splitting reshapes the blocks), and reused otherwise.
   std::optional<Cfg> C;
   for (unsigned EI = 0; EI != Exprs.size(); ++EI) {
     const ExprKey &E = Exprs[EI];
@@ -188,11 +178,7 @@ void specpre::runMcPre(Function &F, const Profile &Prof, PreStats *Stats,
       C.emplace(F);
     std::vector<ExprKey> One{E};
     LocalExprProps Local = computeLocalExprProps(F, One);
-    NetArena.reset();
-    McPreNetwork M = buildNetwork(F, *C, Local, 0, WorkProf, &NetArena);
-    if (PipelineMetrics *MS = currentMetricsSink())
-      MS->noteNetworkArena(NetArena.peakBytes(),
-                           NetArena.chunkAllocations());
+    McPreNetwork M = buildNetwork(F, *C, Local, 0, WorkProf);
     if (BudgetTracker *B = currentBudget()) {
       throwIfError(B->checkGraphNodes(
           static_cast<uint64_t>(M.Net.numNodes()), "MC-PRE network"));
@@ -204,17 +190,13 @@ void specpre::runMcPre(Function &F, const Profile &Prof, PreStats *Stats,
         computeMinCut(M.Net, M.Source, M.Sink, Placement);
 
     std::vector<std::pair<BlockId, BlockId>> Inserts;
-    bool AnyInPlaceChange = false;
     for (int EdgeId : Cut.CutEdgeIds) {
       int Tag = M.Net.edgeTag(EdgeId);
       assert(Tag >= 0 && "infinite edge in MC-PRE minimum cut");
       const McPreNetwork::Action &A = M.Actions[Tag];
       if (A.K == McPreNetwork::Action::Kind::InsertOnEdge)
         Inserts.emplace_back(A.From, A.To);
-      else
-        AnyInPlaceChange = true;
     }
-    (void)AnyInPlaceChange;
 
     if (Stats) {
       ExprStatsRecord R;
@@ -246,10 +228,8 @@ specpre::measureMcPreNetworkSizes(const Function &F, const Profile &Prof) {
   Cfg C(F);
   std::vector<ExprKey> Exprs = collectCandidateExprs(F);
   LocalExprProps Local = computeLocalExprProps(F, Exprs);
-  BumpArena NetArena;
   for (unsigned I = 0; I != Exprs.size(); ++I) {
-    NetArena.reset();
-    McPreNetwork M = buildNetwork(F, C, Local, I, Prof, &NetArena);
+    McPreNetwork M = buildNetwork(F, C, Local, I, Prof);
     ExprStatsRecord R;
     R.Expr = Exprs[I].toString(F);
     R.FunctionName = F.Name;

@@ -129,9 +129,17 @@ void specpre::computeWillBeAvailFromInserts(Frg &G) {
   }
 }
 
-EfgBuild specpre::buildEfgNetwork(Frg &G, const Profile &Prof,
-                                  CutObjective Objective, BumpArena *Arena) {
-  EfgBuild B(Arena);
+void specpre::buildEfgNetwork(Frg &G, const Profile &Prof,
+                              CutObjective Objective, EfgBuild &B) {
+  B.Net.clear();
+  B.Source = B.Sink = -1;
+  B.Empty = true;
+  B.NumEdges = 0;
+  B.Actions.clear();
+  B.SprReals.clear();
+  B.SprWeight = 0;
+  B.Saturated = false;
+
   auto EdgeWeight = [&](uint64_t Freq) {
     int64_t W =
         saturatedEdgeWeight(Freq, Objective.SpeedWeight, Objective.SizeWeight);
@@ -181,7 +189,7 @@ EfgBuild specpre::buildEfgNetwork(Frg &G, const Profile &Prof,
 
   // The strictly-partially-redundant occurrences: uses of included Φs
   // that are not rg_excluded.
-  std::vector<int> SprReals;
+  std::vector<int> &SprReals = B.SprReals;
   for (unsigned RI = 0; RI != G.reals().size(); ++RI) {
     const RealOcc &R = G.reals()[RI];
     if (R.RgExcluded || !R.Def.isPhi())
@@ -201,32 +209,22 @@ EfgBuild specpre::buildEfgNetwork(Frg &G, const Profile &Prof,
     // No strictly partial redundancy: no flow network is formed (the
     // paper's empty-EFG case).
     ReductionTimer->setProblemSize(0);
-    return B;
+    return;
   }
 
   // One network serves the remaining build steps: graph reduction chose
   // its nodes, the single-source step adds the type-1 edges, the
-  // single-sink step the infinite sink edges. Reserve up front so the
-  // arena never strands a grown buffer.
+  // single-sink step the infinite sink edges.
   B.Source = B.Net.addNode();
   B.Sink = B.Net.addNode();
-  ArenaVector<int> PhiNode(Arena), RealNode(Arena);
-  PhiNode.resize(G.phis().size(), -1);
+  std::vector<int> &PhiNode = B.PhiNode, &RealNode = B.RealNode;
+  PhiNode.assign(G.phis().size(), -1);
   for (unsigned I = 0; I != G.phis().size(); ++I)
     if (G.phis()[I].InReducedGraph)
       PhiNode[I] = B.Net.addNode();
-  RealNode.resize(G.reals().size(), -1);
+  RealNode.assign(G.reals().size(), -1);
   for (int RI : SprReals)
     RealNode[RI] = B.Net.addNode();
-
-  {
-    size_t MaxEdges = 2 * SprReals.size();
-    for (const PhiOcc &P : G.phis())
-      if (P.InReducedGraph)
-        MaxEdges += P.Operands.size();
-    B.Net.reserveEdges(MaxEdges);
-    B.Actions.reserve(MaxEdges);
-  }
 
   auto AddEdge = [&](int From, int To, int64_t Weight, EfgBuild::Action A) {
     B.Net.addEdge(From, To, Weight, static_cast<int>(B.Actions.size()));
@@ -281,11 +279,8 @@ EfgBuild specpre::buildEfgNetwork(Frg &G, const Profile &Prof,
     B.NumEdges += 2;
   }
 
-  for (int RI : SprReals)
-    B.SprReals.push_back(RI);
   B.Empty = false;
   ReductionTimer->setProblemSize(B.Net.numNodes() + B.NumEdges);
-  return B;
 }
 
 EfgStats specpre::computeSpeculativePlacement(Frg &G, const Profile &Prof,
@@ -294,13 +289,11 @@ EfgStats specpre::computeSpeculativePlacement(Frg &G, const Profile &Prof,
                                               CutObjective Objective) {
   EfgStats Stats;
 
-  // One arena per worker thread backs every network this thread builds;
-  // reset (not freed) per expression, so in steady state the build makes
-  // no heap allocation at all.
-  static thread_local BumpArena EfgArena;
-  EfgArena.reset();
-
-  EfgBuild B = buildEfgNetwork(G, Prof, Objective, &EfgArena);
+  // One build per worker thread, refilled per expression: its vectors
+  // keep their storage, so in steady state the build makes no heap
+  // allocation at all.
+  static thread_local EfgBuild B;
+  buildEfgNetwork(G, Prof, Objective, B);
   Stats.Saturated = B.Saturated;
   Stats.SprWeight = B.SprWeight;
   if (B.Empty) {
@@ -314,8 +307,6 @@ EfgStats specpre::computeSpeculativePlacement(Frg &G, const Profile &Prof,
   Stats.NumNodes = static_cast<unsigned>(B.Net.numNodes());
   Stats.NumEdges = B.NumEdges;
   FlowNetwork &Net = B.Net;
-  if (PipelineMetrics *M = currentMetricsSink())
-    M->noteNetworkArena(EfgArena.peakBytes(), EfgArena.chunkAllocations());
 
   PassTimer MinCutTimer(PipelineStep::MinCut, Stats.NumNodes + B.NumEdges);
   if (BudgetTracker *Bt = currentBudget()) {

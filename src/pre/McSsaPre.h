@@ -21,6 +21,8 @@
 #include "pre/Frg.h"
 #include "profile/Profile.h"
 
+#include <vector>
+
 namespace specpre {
 
 /// What the minimum cut minimizes (paper Section 6 sketches the
@@ -76,12 +78,9 @@ struct EfgStats {
 /// buildEfgNetwork (steps 3-6) and solved by computeSpeculativePlacement
 /// (steps 7-8); exposed so the equivalence tests and the fuzzer can run
 /// every max-flow algorithm over the very networks the placement step
-/// forms. All storage can draw from a BumpArena, which the placement
-/// step resets per expression.
+/// forms. buildEfgNetwork refills a build in place, so a build reused
+/// across expressions keeps the storage of its vectors.
 struct EfgBuild {
-  explicit EfgBuild(BumpArena *A = nullptr)
-      : Net(0, A), Actions(A), SprReals(A) {}
-
   FlowNetwork Net;
   int Source = -1, Sink = -1;
   bool Empty = true;     ///< No strictly partial redundancy: Net unused.
@@ -94,25 +93,28 @@ struct EfgBuild {
     int PhiIdx = -1, OpIdx = -1; ///< InsertAtOperand
     int RealIdx = -1;            ///< ComputeInPlace
   };
-  ArenaVector<Action> Actions;
+  std::vector<Action> Actions;
 
   /// Strictly-partially-redundant real occurrences (their type-2 edges
   /// are the network's compute-in-place options).
-  ArenaVector<int> SprReals;
+  std::vector<int> SprReals;
 
   int64_t SprWeight = 0; ///< Sum of all type-2 edge weights.
   bool Saturated = false; ///< Some finite weight hit MaxFiniteCapacity.
+
+  /// The build's scratch: the network node of each Φ and each real
+  /// occurrence of the FRG, -1 when it is not in the network.
+  std::vector<int> PhiNode, RealNode;
 };
 
 /// Steps 3-6 on \p G: the sparse data flow (full availability, partial
 /// anticipability), graph reduction, and — over the same network, built
 /// once — the single-source step (type-1 edges from the artificial
 /// source) and the single-sink step (infinite edges into the artificial
-/// sink). Resets the Insert/WillBeAvail flags of \p G. The returned
-/// network draws its storage from \p Arena when one is given.
-EfgBuild buildEfgNetwork(Frg &G, const Profile &Prof,
-                         CutObjective Objective = CutObjective::speed(),
-                         BumpArena *Arena = nullptr);
+/// sink). Resets the Insert/WillBeAvail flags of \p G. Refills \p B,
+/// whatever it held before, and keeps its storage.
+void buildEfgNetwork(Frg &G, const Profile &Prof, CutObjective Objective,
+                     EfgBuild &B);
 
 /// Runs steps 3-8 on \p G under \p Prof (node frequencies only — the
 /// paper's point in Section 4). Sets WillBeAvail and operand Insert flags.

@@ -92,13 +92,14 @@ bool nextLine(const std::string &Text, size_t &Pos, std::string &Line) {
 bool parseU64(const std::string &T, uint64_t &Out) {
   // Reject anything strtoull would quietly tolerate: empty tokens,
   // leading whitespace, '+'/'-' signs (a negative wraps to a huge
-  // positive), hex prefixes. The token must be pure decimal digits.
+  // positive), hex prefixes, and an embedded NUL, at which strtoull
+  // would stop early. The token must be pure decimal digits.
   if (T.empty() || !isDigit(T[0]))
     return false;
   errno = 0;
   char *End = nullptr;
   Out = std::strtoull(T.c_str(), &End, 10);
-  return errno != ERANGE && End && *End == '\0';
+  return errno != ERANGE && End == T.data() + T.size();
 }
 
 bool parseI64(const std::string &T, int64_t &Out) {
@@ -108,7 +109,7 @@ bool parseI64(const std::string &T, int64_t &Out) {
   errno = 0;
   char *End = nullptr;
   Out = std::strtoll(T.c_str(), &End, 10);
-  return errno != ERANGE && End && *End == '\0';
+  return errno != ERANGE && End == T.data() + T.size();
 }
 
 bool parseU32(const std::string &T, unsigned &Out) {

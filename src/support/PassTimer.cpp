@@ -80,12 +80,6 @@ const Field<RobustnessCounters> RobustnessFields[] = {
     {"worker_failures", &RobustnessCounters::WorkerFailures},
 };
 
-const Field<ArenaCounters> ArenaFields[] = {
-    {"network_builds", &ArenaCounters::NetworkBuilds},
-    {"peak_bytes", &ArenaCounters::PeakBytes, Fold::Max},
-    {"chunk_allocations", &ArenaCounters::ChunkAllocations, Fold::Max},
-};
-
 const Field<LospreCounters> LospreFields[] = {
     {"solved", &LospreCounters::Solved},
     {"bailouts", &LospreCounters::Bailouts},
@@ -137,7 +131,6 @@ const Field<ServiceCounters> ServiceFields[] = {
 template <class Visitor, class... Metrics>
 void forEachGroup(Visitor &&Visit, Metrics &...M) {
   Visit("robustness", RobustnessFields, M.robustness()...);
-  Visit("arena", ArenaFields, M.arena()...);
   Visit("lospre", LospreFields, M.lospre()...);
   Visit("cache", CacheFields, M.cache()...);
   Visit("service", ServiceFields, M.service()...);
@@ -182,14 +175,6 @@ void PipelineMetrics::merge(const PipelineMetrics &Other) {
         Into = F.How == Fold::Max ? std::max(Into, From) : Into + From;
       },
       *this, Other);
-}
-
-void PipelineMetrics::noteNetworkArena(uint64_t PeakBytes,
-                                       uint64_t ChunkAllocations) {
-  ++Arena.NetworkBuilds;
-  Arena.PeakBytes = std::max(Arena.PeakBytes, PeakBytes);
-  Arena.ChunkAllocations =
-      std::max(Arena.ChunkAllocations, ChunkAllocations);
 }
 
 std::string PipelineMetrics::toJson(unsigned Jobs) const {

@@ -100,16 +100,6 @@ struct LospreCounters {
   uint64_t DpEntries = 0; ///< Total DP table entries evaluated.
 };
 
-/// Allocation counters of the per-expression network-build arenas
-/// (support/Arena.h). Exported under the metrics JSON "arena" key; the
-/// network stress test asserts PeakBytes does not grow while thousands
-/// of networks are built and torn down.
-struct ArenaCounters {
-  uint64_t NetworkBuilds = 0;     ///< Networks built through an arena.
-  uint64_t PeakBytes = 0;         ///< Max arena high-water mark observed.
-  uint64_t ChunkAllocations = 0;  ///< Max heap chunks any arena requested.
-};
-
 /// Per-step metrics for one pipeline run (or one worker's shard of it).
 /// Each counter is one row of a field table in support/PassTimer.cpp
 /// (JSON key, member, fold, unit); merge(), toJson() and the shard codec
@@ -133,13 +123,6 @@ public:
   ServiceCounters &service() { return Service; }
   const ServiceCounters &service() const { return Service; }
 
-  /// Records one arena-backed network build: bumps NetworkBuilds and
-  /// folds the arena's high-water mark / chunk count in by max.
-  void noteNetworkArena(uint64_t PeakBytes, uint64_t ChunkAllocations);
-
-  ArenaCounters &arena() { return Arena; }
-  const ArenaCounters &arena() const { return Arena; }
-
   /// Leg-D treewidth engine counters; filled by pre/Lospre and the
   /// PreDriver's reducibility gate, zero elsewhere.
   LospreCounters &lospre() { return Lospre; }
@@ -152,16 +135,16 @@ public:
   uint64_t totalNanos() const;
 
   /// Folds \p Other into this shard, counter by counter: sums, except
-  /// the gauges (peak bytes, chunk allocations, width peak, breaker
-  /// state, queue depth peak), which keep the max. Commutative and
-  /// associative, so any merge order yields the same totals.
+  /// the gauges (width peak, breaker state, queue depth peak), which
+  /// keep the max. Commutative and associative, so any merge order
+  /// yields the same totals.
   void merge(const PipelineMetrics &Other);
 
   /// The metrics document every exporter writes (`--metrics-out`, the
   /// daemon's 'T' frame, serve_throughput), without a trailing newline:
   /// "jobs", then "steps" (one {"step", "invocations", "millis",
   /// "problem_size"} object per step, in pipeline order), then the
-  /// robustness, arena, lospre, cache and service groups.
+  /// robustness, lospre, cache and service groups.
   std::string toJson(unsigned Jobs) const;
 
   /// The shard as one line of decimal counters in table order (the
@@ -182,7 +165,6 @@ private:
   RobustnessCounters Robust;
   CacheCounters Cache;
   ServiceCounters Service;
-  ArenaCounters Arena;
   LospreCounters Lospre;
 };
 

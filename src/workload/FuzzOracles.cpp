@@ -517,7 +517,8 @@ specpre::checkEfgCutOracles(const Function &F, const Profile &Prof,
     // cut of exactly the max-flow capacity — or refuse with the
     // documented ResourceLimit. Any other status is an oracle failure.
     Frg G2(Ssa, Sites, EI);
-    EfgBuild B = buildEfgNetwork(G2, Prof);
+    EfgBuild B;
+    buildEfgNetwork(G2, Prof, CutObjective::speed(), B);
     if (!B.Empty) {
       Expected<MinCutResult> Tw =
           computeTreewidthMinCut(B.Net, B.Source, B.Sink, 16);

@@ -545,6 +545,8 @@ TEST(CompileCacheTest, CorruptedIntegerTokensAreRejected) {
   // Trailing garbage and empty tokens.
   EXPECT_FALSE(DecodeWithCount(CountTok + "x"));
   EXPECT_FALSE(DecodeWithCount("0x10"));
+  // An embedded NUL, where strtoull stops as if the token ended.
+  EXPECT_FALSE(DecodeWithCount(CountTok + std::string(1, '\0') + "7"));
 }
 
 namespace {

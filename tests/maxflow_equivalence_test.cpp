@@ -84,7 +84,8 @@ unsigned checkEfgNetworks(const Function &F, const Profile &Prof,
     Frg G(Ssa, C, DT, E);
     if (G.reals().empty())
       continue;
-    EfgBuild B = buildEfgNetwork(G, Prof);
+    EfgBuild B;
+    buildEfgNetwork(G, Prof, CutObjective::speed(), B);
     if (B.Empty)
       continue;
     ++Exercised;

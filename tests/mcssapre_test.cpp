@@ -6,11 +6,18 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "pre/Frg.h"
+#include "pre/Lospre.h"
 #include "pre/McSsaPre.h"
 #include "pre/PreDriver.h"
 #include "ssa/SsaConstruction.h"
+#include "workload/SpecSuite.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <optional>
+#include <thread>
+#include <tuple>
 
 using namespace specpre;
 
@@ -586,4 +593,134 @@ TEST(McSsaPre, HugeFrequenciesSaturateInsteadOfAliasingInfinity) {
   EXPECT_TRUE(S.Saturated);
   EXPECT_LT(S.CutWeight, InfiniteCapacity);
   EXPECT_EQ(S.CutWeight, MaxFiniteCapacity);
+}
+
+//===----------------------------------------------------------------------===//
+// Reuse of the per-thread EFG build
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A program in SSA form with the analyses its FRGs borrow, the profile
+/// its candidates are placed under, and its non-faulting candidates.
+struct PlacedProgram {
+  Function F;
+  Profile Prof;
+  Cfg C;
+  DomTree DT;
+  std::vector<ExprKey> Exprs;
+
+  PlacedProgram(Function SsaF, Profile P)
+      : F(std::move(SsaF)), Prof(std::move(P)), C(F),
+        DT(DomTree::buildDominators(C)) {
+    for (const ExprKey &E : collectCandidateExprs(F))
+      if (!E.canFault())
+        Exprs.push_back(E);
+  }
+};
+
+/// What one placement leaves behind: its statistics (or the status it
+/// threw) and the WillBeAvail/Insert flags of every Φ of the FRG.
+struct Placement {
+  std::optional<EfgStats> Stats;
+  std::string Error;
+  std::vector<bool> Flags;
+};
+
+auto statsFields(const EfgStats &S) {
+  return std::make_tuple(S.Empty, S.NumNodes, S.NumEdges, S.CutWeight,
+                         S.NumCutEdges, S.NumInsertions, S.NumComputeInPlace,
+                         S.SprWeight, S.InsertedWeight, S.InPlaceWeight,
+                         S.Saturated, S.TdWidth, S.TdBags, S.DpEntries);
+}
+
+/// Places candidate \p E of \p P on a fresh FRG, through the max-flow
+/// leg or, with \p Lospre, the treewidth leg. Each leg refills its own
+/// per-thread EfgBuild.
+Placement place(const PlacedProgram &P, const ExprKey &E, bool Lospre) {
+  Frg G(P.F, P.C, P.DT, E);
+  Placement Out;
+  try {
+    Out.Stats = Lospre ? computeLosprePlacement(G, P.Prof,
+                                                CutObjective::speed(), 8)
+                       : computeSpeculativePlacement(G, P.Prof);
+  } catch (const StatusException &Ex) {
+    Out.Error = Ex.what();
+  }
+  for (const PhiOcc &Phi : G.phis()) {
+    Out.Flags.push_back(Phi.WillBeAvail);
+    for (const PhiOperand &Op : Phi.Operands)
+      Out.Flags.push_back(Op.Insert);
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(McSsaPre, ReusedEfgBuildPlacesLikeAFreshOne) {
+  // The placement legs refill one EfgBuild per thread. Placing every
+  // candidate twice on this thread, forward and then in reverse, so that
+  // each network follows both larger and smaller ones, must give what a
+  // fresh build gives: a field the refill or FlowNetwork::clear() forgets
+  // leaks the previous candidate's network into the next placement.
+  std::vector<std::unique_ptr<PlacedProgram>> Programs;
+  std::vector<BenchmarkSpec> Suite = fullCpu2006Suite();
+  for (size_t I = 0; I < Suite.size(); I += 4) {
+    Function F = Suite[I].buildProgram();
+    prepareFunction(F);
+    Profile Prof;
+    ExecOptions EO;
+    EO.CollectProfile = &Prof;
+    interpret(F, Suite[I].TrainArgs, EO);
+    constructSsa(F);
+    Programs.push_back(
+        std::make_unique<PlacedProgram>(std::move(F), Prof.withoutEdgeFreqs()));
+  }
+  // Frequencies so large that every finite weight saturates: the build's
+  // Saturated flag must not outlive this candidate.
+  Profile Huge;
+  Huge.BlockFreq = {uint64_t(1) << 62, (uint64_t(1) << 62) - 1, 1,
+                    uint64_t(1) << 62};
+  Programs.insert(Programs.begin() + 2, std::make_unique<PlacedProgram>(
+                                            criticalEdgeFunction(), Huge));
+
+  std::vector<std::pair<const PlacedProgram *, const ExprKey *>> Candidates;
+  for (const auto &P : Programs)
+    for (const ExprKey &E : P->Exprs)
+      Candidates.emplace_back(P.get(), &E);
+
+  for (bool Lospre : {false, true}) {
+    // The reference: each candidate on a new thread, whose thread-local
+    // build has never been filled.
+    std::vector<Placement> Fresh(Candidates.size());
+    unsigned NonEmpty = 0, Saturated = 0;
+    for (size_t I = 0; I != Candidates.size(); ++I) {
+      std::thread T([&] {
+        Fresh[I] = place(*Candidates[I].first, *Candidates[I].second, Lospre);
+      });
+      T.join();
+      NonEmpty += Fresh[I].Stats && !Fresh[I].Stats->Empty;
+      Saturated += Fresh[I].Stats && Fresh[I].Stats->Saturated;
+    }
+    EXPECT_GT(NonEmpty, 20u);
+    EXPECT_EQ(Saturated, 1u);
+
+    auto Check = [&](size_t I, const char *Order) {
+      Placement Got = place(*Candidates[I].first, *Candidates[I].second,
+                            Lospre);
+      std::string What = std::string(Lospre ? "lospre" : "mcssapre") + " " +
+                         Order + " candidate " + std::to_string(I);
+      ASSERT_EQ(Got.Stats.has_value(), Fresh[I].Stats.has_value()) << What;
+      if (Got.Stats) {
+        EXPECT_EQ(statsFields(*Got.Stats), statsFields(*Fresh[I].Stats))
+            << What;
+      }
+      EXPECT_EQ(Got.Error, Fresh[I].Error) << What;
+      EXPECT_EQ(Got.Flags, Fresh[I].Flags) << What;
+    };
+    for (size_t I = 0; I != Candidates.size(); ++I)
+      Check(I, "forward");
+    for (size_t I = Candidates.size(); I-- != 0;)
+      Check(I, "reverse");
+  }
 }

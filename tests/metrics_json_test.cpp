@@ -237,9 +237,6 @@ PipelineMetrics distinctMetrics(uint64_t Seed) {
   for (uint64_t *C : {&R.FunctionsCompiled, &R.FunctionsDegraded,
                       &R.LadderRetries, &R.WorkerFailures})
     *C = ++V;
-  ArenaCounters &A = M.arena();
-  for (uint64_t *C : {&A.NetworkBuilds, &A.PeakBytes, &A.ChunkAllocations})
-    *C = ++V;
   LospreCounters &L = M.lospre();
   for (uint64_t *C : {&L.Solved, &L.Bailouts, &L.WidthPeak, &L.DpEntries})
     *C = ++V;
@@ -417,7 +414,7 @@ TEST(MetricsJson, EmptyMetricsStillFullSchema) {
   }
   // Every group is present, all zero, in a batch run's document too.
   for (const char *Group :
-       {"robustness", "arena", "lospre", "cache", "service"}) {
+       {"robustness", "lospre", "cache", "service"}) {
     ASSERT_TRUE(V.obj().count(Group)) << Group;
     EXPECT_FALSE(V.obj().at(Group).obj().empty()) << Group;
     for (const auto &[Key, Value] : V.obj().at(Group).obj())
@@ -443,17 +440,15 @@ TEST(MetricsJson, DocumentBytesArePinned) {
   {"step": "verify", "invocations": 9, "millis": 31.563225, "problem_size": 9522}
 ],
 "robustness": {"functions_compiled": 1001, "functions_degraded": 1002, "ladder_retries": 1003, "worker_failures": 1004},
-"arena": {"network_builds": 1005, "peak_bytes": 1006, "chunk_allocations": 1007},
-"lospre": {"solved": 1008, "bailouts": 1009, "width_peak": 1010, "dp_entries": 1011},
-"cache": {"hits": 1012, "misses": 1013, "stores": 1014, "evictions": 1015, "disk_hits": 1016, "disk_writes": 1017, "disk_evictions": 1018, "verify_mismatches": 1019, "corrupt_dropped": 1020, "disk_io_errors": 1021, "breaker_opens": 1022, "breaker_short_circuits": 1023, "breaker_state": 1024, "scrub_scanned": 1025, "scrub_quarantined": 1026, "train_hits": 1027, "train_misses": 1028, "train_stores": 1029, "fault_bypasses": 1030, "degraded_unstored": 1031},
-"service": {"requests_received": 1032, "requests_succeeded": 1033, "requests_failed": 1034, "requests_degraded": 1035, "queue_depth_peak": 1036, "queue_wait_millis": 0.001037, "compile_millis": 0.001038, "worker_crashes": 1039, "deadline_kills": 1040, "quarantined": 1041, "shed": 1042, "retries": 1043}})");
+"lospre": {"solved": 1005, "bailouts": 1006, "width_peak": 1007, "dp_entries": 1008},
+"cache": {"hits": 1009, "misses": 1010, "stores": 1011, "evictions": 1012, "disk_hits": 1013, "disk_writes": 1014, "disk_evictions": 1015, "verify_mismatches": 1016, "corrupt_dropped": 1017, "disk_io_errors": 1018, "breaker_opens": 1019, "breaker_short_circuits": 1020, "breaker_state": 1021, "scrub_scanned": 1022, "scrub_quarantined": 1023, "train_hits": 1024, "train_misses": 1025, "train_stores": 1026, "fault_bypasses": 1027, "degraded_unstored": 1028},
+"service": {"requests_received": 1029, "requests_succeeded": 1030, "requests_failed": 1031, "requests_degraded": 1032, "queue_depth_peak": 1033, "queue_wait_millis": 0.001034, "compile_millis": 0.001035, "worker_crashes": 1036, "deadline_kills": 1037, "quarantined": 1038, "shed": 1039, "retries": 1040}})");
 }
 
 TEST(MetricsJson, MergeKeepsTheMaxOfGaugesAndSumsTheRest) {
   // Big's counters all exceed Small's, so a max keeps Big's value in
   // both merge directions, while a sum, a keep or an overwrite would not.
-  const std::set<std::string> Gauges = {"peak_bytes", "chunk_allocations",
-                                        "width_peak", "breaker_state",
+  const std::set<std::string> Gauges = {"width_peak", "breaker_state",
                                         "queue_depth_peak"};
   PipelineMetrics Big = distinctMetrics(1000), Small = distinctMetrics(1);
   PipelineMetrics BigFirst = Big, SmallFirst = Small;
@@ -468,7 +463,7 @@ TEST(MetricsJson, MergeKeepsTheMaxOfGaugesAndSumsTheRest) {
   std::set<std::string> MaxFolded;
   size_t Counters = 0;
   for (const char *Group :
-       {"robustness", "arena", "lospre", "cache", "service"}) {
+       {"robustness", "lospre", "cache", "service"}) {
     for (const auto &[Key, Merged] : M.at(Group).obj()) {
       ++Counters;
       double BigV = B.at(Group).obj().at(Key).num();
@@ -479,7 +474,7 @@ TEST(MetricsJson, MergeKeepsTheMaxOfGaugesAndSumsTheRest) {
         EXPECT_NEAR(Merged.num(), BigV + SmallV, 1e-9) << Group << "." << Key;
     }
   }
-  EXPECT_EQ(Counters, 43u);
+  EXPECT_EQ(Counters, 40u);
   EXPECT_EQ(MaxFolded, Gauges);
   // Step records only sum.
   for (unsigned I = 0; I != NumPipelineSteps; ++I)

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 using namespace specpre;
 
@@ -222,6 +223,80 @@ TEST_P(MaxFlowAlgoTest, ResetFlowRestoresCapacities) {
   EXPECT_EQ(computeMaxFlow(Net, 0, 2, algo()), 5);
   Net.resetFlow();
   EXPECT_EQ(computeMaxFlow(Net, 0, 2, algo()), 5);
+}
+
+namespace {
+
+/// Every original edge and every CSR slice of \p A equals \p B's.
+void expectSameNetwork(const FlowNetwork &A, const FlowNetwork &B,
+                       const std::string &What) {
+  ASSERT_EQ(A.numNodes(), B.numNodes()) << What;
+  ASSERT_EQ(A.numOriginalEdges(), B.numOriginalEdges()) << What;
+  for (int E = 0; E != A.numOriginalEdges(); ++E) {
+    EXPECT_EQ(A.edgeFrom(E), B.edgeFrom(E)) << What << " edge " << E;
+    EXPECT_EQ(A.edgeTo(E), B.edgeTo(E)) << What << " edge " << E;
+    EXPECT_EQ(A.edgeTag(E), B.edgeTag(E)) << What << " edge " << E;
+    EXPECT_EQ(A.edgeCapacity(E), B.edgeCapacity(E)) << What << " edge " << E;
+    EXPECT_EQ(A.edgeFlow(E), B.edgeFlow(E)) << What << " edge " << E;
+  }
+  for (int N = 0; N != A.numNodes(); ++N) {
+    FlowNetwork::ConstEdgeRange SA = A.edgesFrom(N), SB = B.edgesFrom(N);
+    ASSERT_EQ(SA.size(), SB.size()) << What << " node " << N;
+    for (size_t I = 0; I != SA.size(); ++I) {
+      std::string Slot = What + " node " + std::to_string(N) + " slot " +
+                         std::to_string(I);
+      EXPECT_EQ(SA[I].To, SB[I].To) << Slot;
+      EXPECT_EQ(SA[I].Cap, SB[I].Cap) << Slot;
+      EXPECT_EQ(SA[I].RevIndex, SB[I].RevIndex) << Slot;
+      EXPECT_EQ(SA[I].IsForward, SB[I].IsForward) << Slot;
+      EXPECT_EQ(SA[I].UserTag, SB[I].UserTag) << Slot;
+    }
+  }
+}
+
+} // namespace
+
+TEST_P(MaxFlowAlgoTest, ClearedNetworkRebuildsLikeAFreshOne) {
+  // One network, solved and then cleared and rebuilt as a different one
+  // for each trial, must be indistinguishable from a fresh network of the
+  // same edges: a field clear() forgets leaks the last network's nodes,
+  // edges or flow. Sizes vary, so the kept arrays both grow and shrink.
+  Rng R(2024);
+  FlowNetwork Reused;
+  for (int Trial = 0; Trial != 60; ++Trial) {
+    const int N = 2 + static_cast<int>(R.nextBelow(10));
+    const int M = static_cast<int>(R.nextBelow(4 * N));
+    Reused.clear();
+    FlowNetwork Fresh(N);
+    for (int I = 0; I != N; ++I)
+      Reused.addNode();
+    for (int E = 0; E != M; ++E) {
+      int U = static_cast<int>(R.nextBelow(N));
+      int V = static_cast<int>(R.nextBelow(N));
+      if (U == V)
+        continue;
+      int64_t Cap = R.nextInRange(0, 20);
+      int Tag = R.chance(1, 4) ? -1 : E;
+      Reused.addEdge(U, V, Cap, Tag);
+      Fresh.addEdge(U, V, Cap, Tag);
+    }
+    const std::string What = "trial " + std::to_string(Trial);
+    for (CutPlacement P : {CutPlacement::Earliest, CutPlacement::Latest}) {
+      Reused.resetFlow();
+      Fresh.resetFlow();
+      MinCutResult Got = computeMinCut(Reused, 0, N - 1, P, algo());
+      MinCutResult Want = computeMinCut(Fresh, 0, N - 1, P, algo());
+      EXPECT_EQ(Got.Capacity, Want.Capacity) << What;
+      EXPECT_EQ(Got.SourceSide, Want.SourceSide) << What;
+      EXPECT_EQ(Got.CutEdgeIds, Want.CutEdgeIds) << What;
+      expectSameNetwork(Reused, Fresh, What);
+    }
+    Reused.resetFlow();
+    Fresh.resetFlow();
+    expectSameNetwork(Reused, Fresh, What + " after resetFlow");
+    // Leave flow in the network the next trial clears.
+    computeMaxFlow(Reused, 0, N - 1, algo());
+  }
 }
 
 TEST_P(MaxFlowAlgoTest, VerifyMinCutAcceptsComputedCuts) {

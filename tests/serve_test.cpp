@@ -145,9 +145,10 @@ TEST(ServeProtocol, ResponseRoundTripsExactly) {
 
 TEST(ServeProtocol, MalformedRequestPayloadsAreDiagnosed) {
   struct Case {
-    const char *Payload;
+    std::string Payload;
     const char *ExpectInError;
   };
+  using namespace std::string_literals;
   const Case Cases[] = {
       {"", "header"},
       {"not-a-header\n", "header"},
@@ -164,6 +165,13 @@ TEST(ServeProtocol, MalformedRequestPayloadsAreDiagnosed) {
       {"specpre-serve-request v1\nwidget 1\nir %\n", "unknown directive"},
       {"specpre-serve-request v1\nir %zz\n", "ir"},
       {"specpre-serve-request v1\nflags 1 0 1\nir %\n", "flags"},
+      // A token with an embedded NUL is not its prefix up to the NUL.
+      {"specpre-serve-request v1\nbudget 1 2 3\0junk\nir %\n"s, "budget"},
+      {"specpre-serve-request v1\nobjective 1\0x 0\nir %\n"s, "objective"},
+      {"specpre-serve-request v1\ntrain 1 -2\0junk\nir %\n"s, "train"},
+      {"specpre-serve-request v1\nlospre-max-width 8\0zz\nir %\n"s,
+       "lospre-max-width"},
+      {"specpre-serve-request v1\nalgo dinic\0zz\nir %\n"s, "algo"},
   };
   for (const Case &C : Cases) {
     ServeRequest R;
@@ -345,8 +353,7 @@ TEST(ServeServerTest, PingAndCompileRoundTrip) {
   EXPECT_NE(F.Payload.find("\"requests_received\": 1"), std::string::npos)
       << F.Payload;
   for (const char *Key : {"\"jobs\": ", "\"steps\": [", "\"robustness\": {",
-                          "\"arena\": {", "\"lospre\": {", "\"cache\": {",
-                          "\"service\": {"})
+                          "\"lospre\": {", "\"cache\": {", "\"service\": {"})
     EXPECT_NE(F.Payload.find(Key), std::string::npos)
         << "stats frame lacks " << Key << ": " << F.Payload;
 }

@@ -7,17 +7,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Cfg.h"
-#include "analysis/DomTree.h"
 #include "interp/Interpreter.h"
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "opt/Cleanup.h"
 #include "opt/ValueNumbering.h"
-#include "pre/ExprKey.h"
-#include "pre/Frg.h"
-#include "pre/McPre.h"
-#include "pre/McSsaPre.h"
 #include "pre/PreDriver.h"
 #include "ssa/SsaConstruction.h"
 #include "ssa/SsaDestruction.h"
@@ -145,106 +139,6 @@ TEST(Stress, DeepLoopNestProfileAndPre) {
   ExecResult O = interpret(Opt, Args, EO2);
   ASSERT_TRUE(Base.sameObservableBehavior(O));
   ASSERT_LE(O.DynamicComputations, Base.DynamicComputations);
-}
-
-// Thousands of arena-backed network builds (the CSR FlowNetwork path
-// shared by MC-SSAPRE's EFG and MC-PRE's CFG network): the per-thread
-// bump arena must reach its high-water mark in the first epoch and
-// never grow afterwards — reset() retains chunks, so steady-state
-// builds perform no heap allocation at all. Asserted through the same
-// ArenaCounters the metrics JSON exports, so a regression shows up both
-// here and in `specpre-opt --metrics-out=`.
-TEST(Stress, ArenaNetworkBuildsStayFlat) {
-  GeneratorConfig GenCfg;
-  GenCfg.MaxDepth = 4;
-  GenCfg.RegionsPerLevel = 2;
-  GenCfg.ExprPoolSize = 8;
-  GenCfg.NumVars = 6;
-  Function F;
-  for (uint64_t Seed = 0xA11E5;; ++Seed) {
-    F = generateProgram(Seed, GenCfg, "arena_stress");
-    if (F.numBlocks() >= 30u)
-      break;
-  }
-  Profile Prof;
-  ExecOptions EO;
-  EO.CollectProfile = &Prof;
-  std::vector<int64_t> Args(F.Params.size(), 5);
-  ExecResult Train = interpret(F, Args, EO);
-  ASSERT_FALSE(Train.TimedOut);
-  ASSERT_FALSE(Train.Trapped);
-  Profile NodeProf = Prof.withoutEdgeFreqs();
-
-  Function Ssa = F;
-  constructSsa(Ssa);
-  Cfg C(Ssa);
-  DomTree DT = DomTree::buildDominators(C);
-  std::vector<ExprKey> Candidates;
-  for (const ExprKey &E : collectCandidateExprs(Ssa))
-    if (!E.canFault())
-      Candidates.push_back(E);
-  ASSERT_FALSE(Candidates.empty());
-
-  auto RunAllCandidates = [&] {
-    for (const ExprKey &E : Candidates) {
-      Frg G(Ssa, C, DT, E);
-      computeSpeculativePlacement(G, NodeProf);
-    }
-  };
-
-  PipelineMetrics Warmup;
-  {
-    MetricsScope MS(&Warmup);
-    RunAllCandidates();
-  }
-  uint64_t BuildsPerEpoch = Warmup.arena().NetworkBuilds;
-  ASSERT_GT(BuildsPerEpoch, 0u);
-  ASSERT_GT(Warmup.arena().PeakBytes, 0u);
-
-  const uint64_t Epochs = 2000 / BuildsPerEpoch + 1; // >= 2000 builds total
-  PipelineMetrics Steady;
-  {
-    MetricsScope MS(&Steady);
-    for (uint64_t I = 0; I != Epochs; ++I)
-      RunAllCandidates();
-  }
-  EXPECT_EQ(Steady.arena().NetworkBuilds, Epochs * BuildsPerEpoch);
-  // The high-water mark was established during warmup; repeating the
-  // same builds thousands of times must not raise it (PeakBytes is a
-  // running max over the thread-local arena's lifetime peak).
-  EXPECT_EQ(Steady.arena().PeakBytes, Warmup.arena().PeakBytes);
-  EXPECT_EQ(Steady.arena().ChunkAllocations,
-            Warmup.arena().ChunkAllocations);
-  // And the metrics document carries exactly these counters.
-  std::string Json = Steady.toJson(1);
-  EXPECT_NE(Json.find("\"network_builds\": " +
-                      std::to_string(Epochs * BuildsPerEpoch)),
-            std::string::npos)
-      << Json;
-  EXPECT_NE(Json.find("\"peak_bytes\": " +
-                      std::to_string(Warmup.arena().PeakBytes)),
-            std::string::npos)
-      << Json;
-
-  // The MC-PRE leg exercises the same arena/CSR machinery on the CFG
-  // network; its peak must be flat across repeated full runs too.
-  PipelineMetrics McPreWarm, McPreSteady;
-  {
-    MetricsScope MS(&McPreWarm);
-    Function Copy = F;
-    runMcPre(Copy, Prof);
-  }
-  ASSERT_GT(McPreWarm.arena().NetworkBuilds, 0u);
-  {
-    MetricsScope MS(&McPreSteady);
-    for (int I = 0; I != 20; ++I) {
-      Function Copy = F;
-      runMcPre(Copy, Prof);
-    }
-  }
-  EXPECT_EQ(McPreSteady.arena().NetworkBuilds,
-            20 * McPreWarm.arena().NetworkBuilds);
-  EXPECT_LE(McPreSteady.arena().PeakBytes, McPreWarm.arena().PeakBytes);
 }
 
 // Scaling pins. Each input is large enough that a quadratic stage takes

@@ -213,7 +213,7 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
         return false;
       }
     } else if (auto V = Value("--mincut-algo=")) {
-      if (!parseMaxFlowAlgorithm(V->c_str(), Opts.Algo)) {
+      if (!parseMaxFlowAlgorithm(*V, Opts.Algo)) {
         std::fprintf(stderr,
                      "error: bad --mincut-algo (want dinic or "
                      "edmonds-karp/ek)\n");
